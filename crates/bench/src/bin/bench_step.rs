@@ -197,23 +197,23 @@ fn main() {
     } else {
         println!("wrote {} points to {path}", report.points.len());
     }
-    if let Some(baseline) = &baseline {
-        let failures = regressions(baseline, &report);
-        if failures.is_empty() {
-            eprintln!(
-                "[bench_step] regression gate passed: measured points within {:.0}% of baseline",
-                COMPARE_TOLERANCE * 100.0,
-            );
-        } else {
-            for f in &failures {
-                eprintln!("[bench_step] REGRESSION: {f}");
-            }
-            eprintln!("[done in {:.1?}]", t0.elapsed());
-            std::process::exit(1);
-        }
-    }
+    // The profile is written before the gate decides the exit code: a
+    // failed comparison is exactly when it is needed.
     write_obs_artifacts(cli);
+    let failures = baseline.as_ref().map_or_else(Vec::new, |b| regressions(b, &report));
+    if baseline.is_some() && failures.is_empty() {
+        eprintln!(
+            "[bench_step] regression gate passed: measured points within {:.0}% of baseline",
+            COMPARE_TOLERANCE * 100.0,
+        );
+    }
+    for f in &failures {
+        eprintln!("[bench_step] REGRESSION: {f}");
+    }
     eprintln!("[done in {:.1?}]", t0.elapsed());
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 /// Records the matrix in the durable run ledger (bench_step drives the

@@ -94,6 +94,13 @@ impl FlitArena {
         let _ = self.take(r);
     }
 
+    /// The slot table as a base pointer and length, for a sharded phase
+    /// in which each worker touches only the slots of flits its own
+    /// routers hold (`shard::ArenaSlots`).
+    pub(crate) fn slots_raw(&mut self) -> (*mut Option<Flit>, usize) {
+        (self.slots.as_mut_ptr(), self.slots.len())
+    }
+
     /// Number of live flits.
     pub fn allocated(&self) -> usize {
         self.slots.len() - self.free.len()

@@ -19,6 +19,8 @@
 //! fault injection enables it, so the default path stays copy-free.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
+use std::ptr::addr_of_mut;
 
 use crate::arena::{FlitArena, FlitRef};
 use crate::flit::Flit;
@@ -186,11 +188,7 @@ impl Link {
                 (seq, parity)
             }
         };
-        debug_assert!(
-            self.flits.back().is_none_or(|f| f.deliver_at <= deliver_at),
-            "link is not a FIFO"
-        );
-        self.flits.push_back(FlitInFlight { deliver_at, vc, seq, parity, flit: fref });
+        push_flit(&mut self.flits, FlitInFlight { deliver_at, vc, seq, parity, flit: fref });
     }
 
     /// Cumulative acknowledgement: drops every retransmit-window entry
@@ -312,20 +310,12 @@ impl Link {
 
     /// Removes and returns the next flit due at or before `cycle`.
     pub fn take_due_flit(&mut self, cycle: u64) -> Option<FlitInFlight> {
-        if self.flits.front().is_some_and(|f| f.deliver_at <= cycle) {
-            self.flits.pop_front()
-        } else {
-            None
-        }
+        pop_due(&mut self.flits, cycle, |f| f.deliver_at)
     }
 
     /// Removes and returns the next credit due at or before `cycle`.
     pub fn take_due_credit(&mut self, cycle: u64) -> Option<CreditInFlight> {
-        if self.credits.front().is_some_and(|c| c.deliver_at <= cycle) {
-            self.credits.pop_front()
-        } else {
-            None
-        }
+        pop_due(&mut self.credits, cycle, |c| c.deliver_at)
     }
 
     /// Number of flits currently in flight. With ARQ on this is the
@@ -351,6 +341,135 @@ impl Link {
         self.flits.is_empty()
             && self.credits.is_empty()
             && self.arq.as_ref().is_none_or(|a| a.window.is_empty() && a.resend_at.is_none())
+    }
+}
+
+/// Appends `f` to a flit wire, checking the FIFO invariant of
+/// [`Link::send_flit`] in debug builds.
+fn push_flit(wire: &mut VecDeque<FlitInFlight>, f: FlitInFlight) {
+    debug_assert!(wire.back().is_none_or(|b| b.deliver_at <= f.deliver_at), "link is not a FIFO");
+    wire.push_back(f);
+}
+
+/// Pops the front of `wire` when it is due at or before `cycle`.
+fn pop_due<T>(wire: &mut VecDeque<T>, cycle: u64, due: impl Fn(&T) -> u64) -> Option<T> {
+    if wire.front().is_some_and(|x| due(x) <= cycle) {
+        wire.pop_front()
+    } else {
+        None
+    }
+}
+
+/// Field-level access to a link table during a sharded phase
+/// (DESIGN.md §18).
+///
+/// Every link has two wires — flits downstream, credits upstream — and
+/// in each sharded phase each wire has exactly one producer or consumer
+/// shard, but the two wires of one link may belong to different shards.
+/// A sharded phase therefore never holds a `&Link`, `&mut Link` or
+/// `&[Link]`; it reaches each wire through a raw field pointer instead.
+/// The endpoints and length are never written while this handle lives
+/// (it is built from an exclusive borrow of the table), so reading them
+/// is safe. Touching a wire is `unsafe`: the caller must be the wire's
+/// sole user in the current phase.
+#[derive(Clone, Copy)]
+pub(crate) struct LinkWires<'a> {
+    base: *mut Link,
+    len: usize,
+    _links: PhantomData<&'a mut [Link]>,
+}
+
+// SAFETY: `base` and `len` describe a table exclusively borrowed for
+// `'a`, and `Link` is `Send`. On its own the handle only reads the
+// immutable endpoint and length fields; every wire access is an
+// `unsafe` method whose caller guarantees that one thread owns the
+// wire for the phase.
+unsafe impl Send for LinkWires<'_> {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for LinkWires<'_> {}
+
+impl<'a> LinkWires<'a> {
+    /// A handle over `links`, exclusively borrowed for `'a`.
+    pub(crate) fn new(links: &'a mut [Link]) -> Self {
+        LinkWires { base: links.as_mut_ptr(), len: links.len(), _links: PhantomData }
+    }
+
+    fn link(self, li: usize) -> *mut Link {
+        assert!(li < self.len, "link {li} out of range");
+        // SAFETY: `li` is in bounds of the table `base` points to.
+        unsafe { self.base.add(li) }
+    }
+
+    /// Upstream endpoint of link `li`.
+    pub(crate) fn from(self, li: usize) -> (NodeId, PortId) {
+        // SAFETY: a field read through a raw place (no `&Link` is made);
+        // `from` is never written while the table is borrowed by `self`.
+        unsafe { (*self.link(li)).from }
+    }
+
+    /// Downstream endpoint of link `li`.
+    pub(crate) fn to(self, li: usize) -> (NodeId, PortId) {
+        // SAFETY: as for `from`.
+        unsafe { (*self.link(li)).to }
+    }
+
+    /// Length of link `li` in millimetres.
+    pub(crate) fn length_mm(self, li: usize) -> f64 {
+        // SAFETY: as for `from`.
+        unsafe { (*self.link(li)).length_mm }
+    }
+
+    /// Sends a flit down link `li` (the fault-free path: links of a
+    /// sharded network never carry ARQ state).
+    ///
+    /// # Safety
+    ///
+    /// The calling thread must be the only one touching the flit wire
+    /// of `li` until the next barrier.
+    pub(crate) unsafe fn send_flit(self, li: usize, fref: FlitRef, vc: VcId, deliver_at: u64) {
+        let l = self.link(li);
+        // SAFETY: `arq` is never written while the table is borrowed.
+        debug_assert!(unsafe { (*l).arq.is_none() }, "sharded send on an ARQ link");
+        // SAFETY: the caller owns the flit wire; the borrow covers only
+        // that field, so a concurrent user of the credit wire is disjoint.
+        let wire = unsafe { &mut *addr_of_mut!((*l).flits) };
+        push_flit(wire, FlitInFlight { deliver_at, vc, seq: 0, parity: 0, flit: fref });
+    }
+
+    /// Removes and returns the next flit due on link `li` at or before
+    /// `cycle`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`LinkWires::send_flit`].
+    pub(crate) unsafe fn take_due_flit(self, li: usize, cycle: u64) -> Option<FlitInFlight> {
+        // SAFETY: the caller owns the flit wire (field-level borrow).
+        let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).flits) };
+        pop_due(wire, cycle, |f| f.deliver_at)
+    }
+
+    /// Sends a credit up link `li`.
+    ///
+    /// # Safety
+    ///
+    /// The calling thread must be the only one touching the credit wire
+    /// of `li` until the next barrier.
+    pub(crate) unsafe fn send_credit(self, li: usize, vc: VcId, deliver_at: u64) {
+        // SAFETY: the caller owns the credit wire (field-level borrow).
+        let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).credits) };
+        wire.push_back(CreditInFlight { deliver_at, vc });
+    }
+
+    /// Removes and returns the next credit due on link `li` at or before
+    /// `cycle`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`LinkWires::send_credit`].
+    pub(crate) unsafe fn take_due_credit(self, li: usize, cycle: u64) -> Option<CreditInFlight> {
+        // SAFETY: the caller owns the credit wire (field-level borrow).
+        let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).credits) };
+        pop_due(wire, cycle, |c| c.deliver_at)
     }
 }
 

@@ -19,10 +19,7 @@ use crate::journey::JourneyRecorder;
 use crate::link::Link;
 use crate::packet::{Packet, PacketId};
 use crate::router::{EjectedFlit, Router, StepScratch};
-use crate::shard::{
-    DeferredFx, DirectFx, Effect, NicEntry, P1Credit, P1Flit, ShardRuntime, SyncConstPtr, SyncPtr,
-    MAX_SHARDS,
-};
+use crate::shard::{DirectFx, Effect, P1Flit, ShardRuntime, MAX_SHARDS};
 use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{
     EventSink, MetricsCollector, MetricsWindow, NullSink, StallCounters, TelemetryConfig,
@@ -34,8 +31,8 @@ use crate::topology::Topology;
 /// queues hold [`FlitRef`]s into the network's arena, so moving a flit
 /// from the queue into a router buffer moves a 4-byte index.
 #[derive(Debug)]
-struct Nic {
-    queues: Vec<VecDeque<FlitRef>>,
+pub(crate) struct Nic {
+    pub(crate) queues: Vec<VecDeque<FlitRef>>,
 }
 
 impl Nic {
@@ -207,7 +204,7 @@ impl Network {
             self.shard_rt = None;
             return;
         }
-        if self.shard_rt.as_ref().is_some_and(|rt| rt.shards == shards) {
+        if self.shard_rt.as_ref().is_some_and(|rt| rt.shards() == shards) {
             return;
         }
         self.shard_rt = Some(Box::new(ShardRuntime::new(
@@ -222,7 +219,7 @@ impl Network {
 
     /// The engaged shard count (1 when stepping sequentially).
     pub fn shards(&self) -> usize {
-        self.shard_rt.as_ref().map_or(1, |rt| rt.shards)
+        self.shard_rt.as_ref().map_or(1, |rt| rt.shards())
     }
 
     /// Engages fault injection per `cfg`: compiles the fault plan
@@ -602,167 +599,107 @@ impl Network {
     }
 
     /// The sharded cycle (DESIGN.md §18). Three pool dispatches — link
-    /// delivery, router pipelines, NIC injection — each followed by an
-    /// ordered replay of the deferred effects on this thread, so every
-    /// seam (counters, sink, journeys, link queues, arena free list)
-    /// sees the exact sequential order. Soundness of the raw-pointer
-    /// sharing: within each dispatch a shard touches only the routers,
-    /// NICs, and activity rows of its own contiguous range, the links it
-    /// owns (partitioned by destination router), and its own `ShardCtx`;
-    /// the arena, topology, and foreign links are accessed read-only.
+    /// delivery, router pipelines, NIC injection — run every effect a
+    /// shard owns on its worker (the phase methods of [`ShardRuntime`]
+    /// hold the worker bodies and their soundness argument). After each
+    /// barrier this thread replays only the order-sensitive remainder —
+    /// the f64 counter sums, the arena free list, trace and journey
+    /// records — in the sequential path's order.
     fn step_sharded(&mut self, cycle: u64) {
         let _step = obs_scope(ObsPhase::StepTotal);
         self.counters.cycles += 1;
         let traced = self.sink.enabled();
         let journeys_on = self.journeys.is_some();
         let mut rt = self.shard_rt.take().expect("sharded step without a runtime");
-        let shards = rt.shards;
 
-        // 1. Link delivery. Workers pop due flits off their owned links
-        // straight into their owned routers (the buffer push is
-        // shard-local) and log the ordered remainder; due credits are
-        // log-only, because a credit targets the link's *upstream*
-        // router, which may belong to another shard.
+        // 1. Link delivery. Flits land in their (shard-owned) destination
+        // routers and credits in their (shard-owned) source routers on
+        // the workers; the replay restores link order for the buffer-
+        // write sum, journey arrivals and trace events.
         let link_scope = obs_scope(ObsPhase::LinkDelivery);
-        {
-            let plan = &rt.plan;
-            let ctx_ptr = SyncPtr(rt.ctxs.as_mut_ptr());
-            let routers_ptr = SyncPtr(self.routers.as_mut_ptr());
-            let links_ptr = SyncPtr(self.links.as_mut_ptr());
-            let activity_ptr = SyncPtr(self.activity.as_mut_ptr());
-            let arena_ptr = SyncConstPtr(std::ptr::from_ref(&self.arena));
-            rt.pool.run(&move |s| {
-                // SAFETY: `s` indexes ctxs (one per shard); every link in
-                // `links_of[s]` — and therefore every destination router
-                // and activity row reached through it — is owned by
-                // exactly this shard; the arena is shared read-only.
-                let ctx = unsafe { &mut *ctx_ptr.get().add(s) };
-                ctx.clear();
-                let arena = unsafe { &*arena_ptr.get() };
-                for &li in &plan.links_of[s] {
-                    let link = unsafe { &mut *links_ptr.get().add(li as usize) };
-                    while let Some(f) = link.take_due_flit(cycle) {
-                        let (dst, port) = link.to;
-                        let (packet, head) = {
-                            let flit = arena.get(f.flit);
-                            (flit.packet, flit.is_head())
-                        };
-                        let router = unsafe { &mut *routers_ptr.get().add(dst.index()) };
-                        let fraction = router.receive_flit(port, f.vc, f.flit, arena, cycle);
-                        let act = unsafe { &mut *activity_ptr.get().add(dst.index()) };
-                        act.buffer_events += fraction;
-                        ctx.p1_flits.push(P1Flit {
-                            li,
-                            fraction,
-                            packet,
-                            dst,
-                            port,
-                            vc: f.vc,
-                            head,
-                        });
-                    }
-                    while let Some(c) = link.take_due_credit(cycle) {
-                        ctx.p1_credits.push(P1Credit { li, vc: c.vc });
-                    }
-                }
-            });
-        }
-        // Replay in global link order — per link, flits then credits —
-        // which is exactly the sequential loop's order. Each shard's
-        // logs are already li-ascending, so a cursor per shard suffices.
+        rt.deliver_links(
+            &mut self.routers,
+            &mut self.activity,
+            &mut self.links,
+            &self.arena,
+            cycle,
+            traced,
+        );
+        // Per link, flits then credits: the sequential loop's order, so
+        // BufferWrite and CreditReturn events interleave as there. Every
+        // shard's flit and credit logs are link-ascending, so a k-way
+        // merge on (link, flits first) over them restores that order.
+        // Credits are logged only when traced, so untraced the merge
+        // costs O(flits delivered), not O(links).
         let mut fcur = [0usize; MAX_SHARDS];
         let mut ccur = [0usize; MAX_SHARDS];
-        for li in 0..self.links.len() {
-            let s = rt.plan.link_owner[li] as usize;
-            let ctx = &rt.ctxs[s];
-            while fcur[s] < ctx.p1_flits.len() && ctx.p1_flits[fcur[s]].li as usize == li {
-                let e = ctx.p1_flits[fcur[s]];
-                fcur[s] += 1;
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: e.dst,
-                        port: e.port,
-                        vc: e.vc,
-                        kind: TraceEventKind::BufferWrite,
-                        packet: e.packet.0,
-                        detail: 0,
-                    });
-                }
-                if e.head {
-                    if let Some(j) = &mut self.journeys {
-                        j.on_link_arrival(e.packet, e.dst, e.port, cycle);
+        loop {
+            let mut next: Option<(u32, bool, usize)> = None;
+            for (s, ctx) in rt.ctxs().iter().enumerate() {
+                let flit = ctx.p1_flits.get(fcur[s]).map(|e| (e.li, false, s));
+                let credit = ctx.p1_credits.get(ccur[s]).map(|e| (e.li, true, s));
+                for key in [flit, credit].into_iter().flatten() {
+                    if next.is_none_or(|n| (key.0, key.1) < (n.0, n.1)) {
+                        next = Some(key);
                     }
                 }
-                self.counters.record_buffer_write(e.fraction);
             }
-            while ccur[s] < ctx.p1_credits.len() && ctx.p1_credits[ccur[s]].li as usize == li {
-                let e = ctx.p1_credits[ccur[s]];
+            let Some((li, is_credit, s)) = next else { break };
+            if is_credit {
+                let vc = rt.ctxs()[s].p1_credits[ccur[s]].vc;
                 ccur[s] += 1;
-                let (src, port) = self.links[li].from;
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: src,
-                        port,
-                        vc: e.vc,
-                        kind: TraceEventKind::CreditReturn,
-                        packet: 0,
-                        detail: 0,
-                    });
-                }
-                self.routers[src.index()].receive_credit(port, e.vc);
+                let (src, port) = self.links[li as usize].from;
+                self.sink.record(TraceEvent {
+                    cycle,
+                    router: src,
+                    port,
+                    vc,
+                    kind: TraceEventKind::CreditReturn,
+                    packet: 0,
+                    detail: 0,
+                });
+            } else {
+                self.replay_arrival(&rt.ctxs()[s].p1_flits[fcur[s]], cycle, traced);
+                fcur[s] += 1;
             }
         }
         drop(link_scope);
 
         // 2. Router pipelines, tile-parallel. Within a cycle the routers
         // are mutually isolated — cross-router traffic only moves over
-        // links with future delivery cycles — so each shard steps its
-        // range with a logging effect seam and the logs replay here in
-        // router-ascending order (shard ranges are contiguous and
-        // ascending, so shard order *is* router order).
+        // wires with future delivery cycles — so each shard steps its
+        // range, sending flits and credits itself, and the logs replay
+        // here in router-ascending order (shard ranges are contiguous
+        // and ascending, so shard order *is* router order).
         let pipeline_scope = obs_scope(ObsPhase::RouterPipeline);
-        {
-            let plan = &rt.plan;
-            let ctx_ptr = SyncPtr(rt.ctxs.as_mut_ptr());
-            let routers_ptr = SyncPtr(self.routers.as_mut_ptr());
-            let activity_ptr = SyncPtr(self.activity.as_mut_ptr());
-            let arena_ptr = SyncConstPtr(std::ptr::from_ref(&self.arena));
-            let links_ptr = SyncConstPtr(self.links.as_ptr());
-            let nlinks = self.links.len();
-            let topo: &dyn Topology = &*self.topo;
-            rt.pool.run(&move |s| {
-                // SAFETY: shard `s` steps only routers (and activity
-                // rows) in its own half-open range; the arena and link
-                // table are read-only inside `DeferredFx`.
-                let ctx = unsafe { &mut *ctx_ptr.get().add(s) };
-                let arena = unsafe { &*arena_ptr.get() };
-                let links = unsafe { std::slice::from_raw_parts(links_ptr.get(), nlinks) };
-                let (start, end) = plan.ranges[s];
-                for i in start..end {
-                    let r = unsafe { &mut *routers_ptr.get().add(i) };
-                    if r.is_quiescent() {
-                        continue;
+        rt.step_routers(
+            &mut self.routers,
+            &mut self.activity,
+            &mut self.links,
+            &mut self.arena,
+            &*self.topo,
+            &mut self.counters,
+            cycle,
+            traced,
+            journeys_on,
+        );
+        for ctx in rt.ctxs() {
+            for &effect in &ctx.pipeline {
+                match effect {
+                    Effect::StRead { fraction } => {
+                        self.counters.record_buffer_read(fraction);
+                        self.counters.record_xbar(fraction);
                     }
-                    let act = unsafe { &mut *activity_ptr.get().add(i) };
-                    let mut fx = DeferredFx {
-                        arena,
-                        links,
-                        traced,
-                        journeys_on,
-                        log: &mut ctx.fx_log,
-                        t: &mut ctx.tallies,
-                    };
-                    r.step(cycle, topo, &mut ctx.scratch, act, &mut fx);
-                }
-            });
-        }
-        for s in 0..shards {
-            let ctx = &mut rt.ctxs[s];
-            ctx.tallies.merge_into(&mut self.counters);
-            for ei in 0..ctx.fx_log.len() {
-                match ctx.fx_log[ei] {
+                    Effect::Link { length_mm, fraction } => {
+                        self.counters.record_link(length_mm, fraction)
+                    }
+                    Effect::Eject { fref, node, tail } => {
+                        self.counters.flits_ejected += 1;
+                        if tail {
+                            self.counters.packets_ejected += 1;
+                        }
+                        self.ejected.push(EjectedFlit { flit: self.arena.take(fref), node, cycle });
+                    }
                     Effect::JourneySt { packet, out_port } => {
                         if let Some(j) = &mut self.journeys {
                             j.on_st(packet, out_port, cycle);
@@ -773,26 +710,7 @@ impl Network {
                             j.on_stall(packet, router, cause, head);
                         }
                     }
-                    Effect::StRead { fraction } => {
-                        self.counters.record_buffer_read(fraction);
-                        self.counters.record_xbar(fraction);
-                    }
                     Effect::Trace(ev) => self.sink.record(ev),
-                    Effect::SendCredit { li, vc, at } => {
-                        self.links[li as usize].send_credit(vc, at);
-                    }
-                    Effect::Eject { fref, node, tail } => {
-                        self.counters.flits_ejected += 1;
-                        if tail {
-                            self.counters.packets_ejected += 1;
-                        }
-                        self.ejected.push(EjectedFlit { flit: self.arena.take(fref), node, cycle });
-                    }
-                    Effect::Forward { li, fref, vc, at, fraction } => {
-                        self.arena.get_mut(fref).hops += 1;
-                        self.counters.record_link(self.links[li as usize].length_mm, fraction);
-                        self.links[li as usize].send_flit(&mut self.arena, fref, vc, at);
-                    }
                 }
             }
         }
@@ -814,57 +732,11 @@ impl Network {
         // 4. NIC injection, tile-parallel: the NIC queue, destination
         // router, and activity row are all shard-local (node ranges
         // coincide with router ranges); the global counter, journey,
-        // and trace records replay in node order. The fault-severance
-        // check is absent here by construction — fault runs never take
-        // the sharded path.
+        // and trace records replay in node order.
         let nic_scope = obs_scope(ObsPhase::NicInject);
-        {
-            let plan = &rt.plan;
-            let vcs = self.cfg.router.vcs_per_port;
-            let ctx_ptr = SyncPtr(rt.ctxs.as_mut_ptr());
-            let routers_ptr = SyncPtr(self.routers.as_mut_ptr());
-            let nics_ptr = SyncPtr(self.nics.as_mut_ptr());
-            let activity_ptr = SyncPtr(self.activity.as_mut_ptr());
-            let arena_ptr = SyncConstPtr(std::ptr::from_ref(&self.arena));
-            rt.pool.run(&move |s| {
-                // SAFETY: shard `s` touches only the NICs, routers, and
-                // activity rows of its own node range; the arena is
-                // shared read-only.
-                let ctx = unsafe { &mut *ctx_ptr.get().add(s) };
-                let arena = unsafe { &*arena_ptr.get() };
-                let (start, end) = plan.ranges[s];
-                for node in start..end {
-                    let nic = unsafe { &mut *nics_ptr.get().add(node) };
-                    let router = unsafe { &mut *routers_ptr.get().add(node) };
-                    let act = unsafe { &mut *activity_ptr.get().add(node) };
-                    for vc in 0..vcs {
-                        while let Some(&fref) = nic.queues[vc].front() {
-                            if router.local_free_slots(VcId(vc)) == 0 {
-                                break;
-                            }
-                            nic.queues[vc].pop_front();
-                            let (packet, head) = {
-                                let flit = arena.get(fref);
-                                (flit.packet, flit.is_head())
-                            };
-                            let fraction =
-                                router.receive_flit(PortId::LOCAL, VcId(vc), fref, arena, cycle);
-                            act.buffer_events += fraction;
-                            ctx.nic_log.push(NicEntry {
-                                node: NodeId(node),
-                                vc: VcId(vc),
-                                packet,
-                                head,
-                                fraction,
-                            });
-                        }
-                    }
-                }
-            });
-        }
-        for s in 0..shards {
-            for ei in 0..rt.ctxs[s].nic_log.len() {
-                let e = rt.ctxs[s].nic_log[ei];
+        rt.inject(&mut self.nics, &mut self.routers, &mut self.activity, &self.arena, cycle);
+        for ctx in rt.ctxs() {
+            for e in &ctx.nic_log {
                 self.counters.flits_injected += 1;
                 if e.head {
                     if let Some(j) = &mut self.journeys {
@@ -895,6 +767,28 @@ impl Network {
         }
         drop(telemetry_scope);
         self.shard_rt = Some(rt);
+    }
+
+    /// The ordered remainder of one flit a link-phase worker delivered:
+    /// its trace event, journey arrival and buffer-write sum.
+    fn replay_arrival(&mut self, e: &P1Flit, cycle: u64, traced: bool) {
+        if traced {
+            self.sink.record(TraceEvent {
+                cycle,
+                router: e.dst,
+                port: e.port,
+                vc: e.vc,
+                kind: TraceEventKind::BufferWrite,
+                packet: e.packet.0,
+                detail: 0,
+            });
+        }
+        if e.head {
+            if let Some(j) = &mut self.journeys {
+                j.on_link_arrival(e.packet, e.dst, e.port, cycle);
+            }
+        }
+        self.counters.record_buffer_write(e.fraction);
     }
 
     /// Host-side high-water marks of the core data structures, for the

@@ -661,9 +661,10 @@ impl Router {
     /// Every mutation of shared (cross-router) state goes through the
     /// [`StepFx`] seam: [`crate::shard::DirectFx`] applies it inline
     /// (sequential path, byte-identical to the pre-shard code) while
-    /// [`crate::shard::DeferredFx`] logs it for ordered replay (sharded
-    /// path). Monomorphisation keeps the sequential path free of
-    /// virtual-call overhead.
+    /// [`crate::shard::DeferredFx`] applies the shard-owned effects in
+    /// place and logs the rest for ordered replay (sharded path).
+    /// Monomorphisation keeps the sequential path free of virtual-call
+    /// overhead.
     pub(crate) fn step<F: StepFx>(
         &mut self,
         cycle: u64,
@@ -714,7 +715,7 @@ impl Router {
             // The only payload touch on the traversal path: one arena
             // read for the activity fractions.
             let (fraction, active_layers) = {
-                let data = &fx.arena().get(slot.fref).data;
+                let data = &fx.flit(slot.fref).data;
                 if self.layer_shutdown {
                     let words = data.num_words();
                     let active =

@@ -4,36 +4,47 @@
 //! The mesh is partitioned into contiguous spatial tiles of routers
 //! (shard 0 runs on the calling thread, shards 1..N on a persistent
 //! [`WorkerPool`]). Within one `Network::step`, each barrier-separated
-//! phase runs the shard-local work in parallel and defers every
-//! *globally ordered* effect — f64 activity-counter accumulation, trace
-//! events, journey records, link sends, ejections — into a per-shard
-//! log that the main thread replays in canonical (router- or link-
-//! ascending) order. Commutative `u64` counters are summed from
-//! per-shard [`PipelineTallies`] instead. The result is byte-identical
-//! to the sequential path at every seam: the same f64 additions in the
-//! same order, the same trace/journey event sequence, the same arena
-//! free-list history.
+//! phase runs every effect a shard can own on that shard's worker —
+//! buffer pushes, credit returns, link sends, hop counts — and defers
+//! only the *globally ordered* remainder into a per-shard log that the
+//! main thread replays in canonical (router- or link-ascending) order:
+//! the non-associative f64 activity-counter sums, the arena free list
+//! (ejections), and trace/journey records. Commutative `u64` counters
+//! are summed from per-shard [`PipelineTallies`] instead. The result is
+//! byte-identical to the sequential path at every seam: the same f64
+//! additions in the same order, the same trace/journey event sequence,
+//! the same arena free-list history, the same wire contents.
+//!
+//! Ownership goes by *wire*, not by link ([`ShardPlan`]): a link's flit
+//! wire is pushed by its sender's shard in the pipeline phase and popped
+//! by its receiver's shard in the link phase; its credit wire the other
+//! way round. Every worker body lives in this module, so the raw-pointer
+//! sharing it rests on is audited in one place.
 //!
 //! The seam itself is the [`StepFx`] trait: `Router::step` reports
 //! every cross-router effect through it. [`DirectFx`] (the sequential
 //! path) applies each effect immediately, reproducing the pre-shard
-//! code exactly; [`DeferredFx`] (shard workers) appends [`Effect`]s to
-//! the shard's log for ordered replay.
+//! code exactly; [`DeferredFx`] (shard workers) applies the shard-owned
+//! effects in place and logs the rest into its shard's effect log.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use crate::arena::{FlitArena, FlitRef};
+use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::Link;
-use crate::router::{EjectedFlit, StepScratch};
-use crate::stats::ActivityCounters;
+use crate::link::{Link, LinkWires};
+use crate::network::Nic;
+use crate::router::{EjectedFlit, Router, StepScratch};
+use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{EventSink, StallCause, TraceEvent};
+use crate::topology::Topology;
 
 /// Hard cap on shard count (stack-allocated replay cursors; far above
 /// any core count this simulator targets).
@@ -73,8 +84,8 @@ pub(crate) trait StepFx {
     fn traced(&self) -> bool;
     /// `true` when a journey recorder is attached.
     fn journeys_on(&self) -> bool;
-    /// Read access to the flit arena (the ST payload touch).
-    fn arena(&self) -> &FlitArena;
+    /// The buffered flit at `fref` (the ST payload touch).
+    fn flit(&self, fref: FlitRef) -> &Flit;
     /// Length of link `li` in millimetres (read-only link access).
     fn link_length_mm(&self, li: usize) -> f64;
     /// Emits a trace event.
@@ -135,8 +146,8 @@ impl StepFx for DirectFx<'_> {
     }
 
     #[inline]
-    fn arena(&self) -> &FlitArena {
-        self.arena
+    fn flit(&self, fref: FlitRef) -> &Flit {
+        self.arena.get(fref)
     }
 
     #[inline]
@@ -222,32 +233,95 @@ impl StepFx for DirectFx<'_> {
     }
 }
 
-/// One deferred pipeline effect, replayed by the main thread in shard
-/// (= router-ascending) order. The replay applies exactly the sequence
-/// of shared-state mutations [`DirectFx`] would have applied inline.
+/// One order-sensitive pipeline effect, replayed by the main thread in
+/// shard (= router-ascending) order. Wire sends and hop counts already
+/// happened on the worker, so a forward leaves only its `record_link`
+/// operands.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Effect {
+    StRead { fraction: f64 },
+    Link { length_mm: f64, fraction: f64 },
+    Eject { fref: FlitRef, node: NodeId, tail: bool },
     JourneySt { packet: crate::packet::PacketId, out_port: PortId },
     JourneyStall { packet: crate::packet::PacketId, router: NodeId, cause: StallCause, head: bool },
-    StRead { fraction: f64 },
     Trace(TraceEvent),
-    SendCredit { li: u32, vc: VcId, at: u64 },
-    Eject { fref: FlitRef, node: NodeId, tail: bool },
-    Forward { li: u32, fref: FlitRef, vc: VcId, at: u64, fraction: f64 },
 }
 
-/// Logging [`StepFx`] for shard workers: shared-state effects are
-/// appended to the shard's log; commutative counters accumulate in the
-/// shard's [`PipelineTallies`]. The arena and links are read-only here
-/// (lengths and ST payload reads), which is what makes sharing them
-/// across workers sound.
+/// Per-slot access to the flit arena during the pipeline phase.
+///
+/// A flit in a router buffer is reached only by the shard that owns the
+/// router, so each worker touches a disjoint set of slots. The handle
+/// therefore never forms a `&FlitArena` (which would cover every slot)
+/// but addresses one slot at a time.
+#[derive(Clone, Copy)]
+struct ArenaSlots<'a> {
+    base: *mut Option<Flit>,
+    len: usize,
+    _arena: PhantomData<&'a mut FlitArena>,
+}
+
+// SAFETY: `base` and `len` describe a slot table exclusively borrowed
+// for `'a`, and `Flit` is `Send`. Every dereference goes through
+// `get`/`get_mut`, whose callers guarantee that the slot belongs to
+// the calling shard's routers.
+unsafe impl Send for ArenaSlots<'_> {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for ArenaSlots<'_> {}
+
+impl<'a> ArenaSlots<'a> {
+    fn new(arena: &'a mut FlitArena) -> Self {
+        let (base, len) = arena.slots_raw();
+        ArenaSlots { base, len, _arena: PhantomData }
+    }
+
+    fn slot(self, fref: FlitRef) -> *mut Option<Flit> {
+        let i = fref.0 as usize;
+        assert!(i < self.len, "FlitRef out of range");
+        // SAFETY: `i` is in bounds of the slot table.
+        unsafe { self.base.add(i) }
+    }
+
+    /// # Safety
+    ///
+    /// The flit at `fref` must sit in a buffer of a router the calling
+    /// shard owns, and no `&mut` to it may be live.
+    unsafe fn get(self, fref: FlitRef) -> &'a Flit {
+        // SAFETY: per the contract, no other thread touches this slot.
+        unsafe { (*self.slot(fref)).as_ref().expect("dangling FlitRef") }
+    }
+
+    /// # Safety
+    ///
+    /// As for [`ArenaSlots::get`], and no other reference to the flit
+    /// may be live.
+    unsafe fn get_mut(self, fref: FlitRef) -> &'a mut Flit {
+        // SAFETY: per the contract, this is the only reference.
+        unsafe { (*self.slot(fref)).as_mut().expect("dangling FlitRef") }
+    }
+}
+
+/// Logging [`StepFx`] for shard workers. Built only by
+/// [`ShardRuntime::step_routers`] for a router of the worker's own
+/// range, which is what its in-place effects rely on:
+///
+/// * `forward` bumps the hop count of a flit that router holds and
+///   pushes it onto the router's out-link flit wire — the sender's shard
+///   is that wire's only producer, and nothing pops it until the next
+///   link phase;
+/// * `send_credit` pushes onto the router's in-link credit wire — the
+///   receiver's shard is that wire's only producer.
+///
+/// The order-sensitive remainder goes to the shard's log; commutative
+/// counters accumulate in the shard's [`PipelineTallies`].
 pub(crate) struct DeferredFx<'a> {
-    pub arena: &'a FlitArena,
-    pub links: &'a [Link],
-    pub traced: bool,
-    pub journeys_on: bool,
-    pub log: &'a mut Vec<Effect>,
-    pub t: &'a mut PipelineTallies,
+    /// The router being stepped; its shard runs this seam.
+    node: NodeId,
+    slots: ArenaSlots<'a>,
+    wires: LinkWires<'a>,
+    traced: bool,
+    journeys_on: bool,
+    log: &'a mut Vec<Effect>,
+    t: &'a mut PipelineTallies,
 }
 
 impl StepFx for DeferredFx<'_> {
@@ -262,13 +336,17 @@ impl StepFx for DeferredFx<'_> {
     }
 
     #[inline]
-    fn arena(&self) -> &FlitArena {
-        self.arena
+    fn flit(&self, fref: FlitRef) -> &Flit {
+        // SAFETY: the router being stepped holds `fref` in its buffer
+        // and belongs to this shard (a `FlitRef` has exactly one
+        // holder); the returned borrow ends before any
+        // `&mut self` call (`forward`'s hop bump) can alias it.
+        unsafe { self.slots.get(fref) }
     }
 
     #[inline]
     fn link_length_mm(&self, li: usize) -> f64 {
-        self.links[li].length_mm
+        self.wires.length_mm(li)
     }
 
     #[inline]
@@ -328,7 +406,12 @@ impl StepFx for DeferredFx<'_> {
 
     #[inline]
     fn send_credit(&mut self, li: usize, vc: VcId, at: u64) {
-        self.log.push(Effect::SendCredit { li: li as u32, vc, at });
+        assert_eq!(self.wires.to(li).0, self.node, "credit sent on a foreign in-link");
+        // SAFETY: `li` is an in-link of the router being stepped
+        // (asserted above); in the pipeline phase only that router's
+        // shard pushes the credit wire, and no one pops it until the
+        // next link phase.
+        unsafe { self.wires.send_credit(li, vc, at) };
     }
 
     #[inline]
@@ -338,27 +421,37 @@ impl StepFx for DeferredFx<'_> {
 
     #[inline]
     fn forward(&mut self, li: usize, fref: FlitRef, vc: VcId, at: u64, fraction: f64) {
-        self.log.push(Effect::Forward { li: li as u32, fref, vc, at, fraction });
+        // SAFETY: the flit left a buffer of the router being stepped,
+        // which this shard owns; a `FlitRef` has exactly one holder, so
+        // no other shard reaches it this phase.
+        unsafe { self.slots.get_mut(fref) }.hops += 1;
+        self.log.push(Effect::Link { length_mm: self.wires.length_mm(li), fraction });
+        assert_eq!(self.wires.from(li).0, self.node, "flit forwarded on a foreign out-link");
+        // SAFETY: `li` is an out-link of the router being stepped
+        // (asserted above); in the pipeline phase only the sender's
+        // shard pushes its flit wire, and no one pops it until the next
+        // link phase.
+        unsafe { self.wires.send_flit(li, fref, vc, at) };
     }
 }
 
-/// A flit delivered off a link by a phase-1 worker: the buffer push
+/// A flit delivered off link `li` by a phase-1 worker: the buffer push
 /// happened in place (the destination router is shard-owned); the
 /// globally ordered remainder — trace event, journey arrival, the f64
 /// buffer-write counter — replays from this entry in link order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct P1Flit {
     pub li: u32,
+    pub head: bool,
     pub fraction: f64,
     pub packet: crate::packet::PacketId,
     pub dst: NodeId,
     pub port: PortId,
     pub vc: VcId,
-    pub head: bool,
 }
 
-/// A credit popped off a link by a phase-1 worker; the upstream
-/// `receive_credit` (and its trace event) replays in link order.
+/// A credit applied by a phase-1 worker, logged only when a trace sink
+/// is on so its `CreditReturn` event replays in link order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct P1Credit {
     pub li: u32,
@@ -377,41 +470,59 @@ pub(crate) struct NicEntry {
     pub fraction: f64,
 }
 
-/// Static shard partition: contiguous router ranges plus the link
-/// ownership derived from them. A link is *owned* (popped) by the shard
-/// of its destination router, so a phase-1 worker delivers flits only
-/// into routers it owns and every link is touched by exactly one
+/// Static shard partition: contiguous router ranges plus the wire
+/// ownership derived from them. In the link phase a link's flit wire is
+/// popped by the shard of its destination router and its credit wire by
+/// the shard of its source router, so every delivery lands in a router
+/// the popping shard owns and every wire is touched by exactly one
 /// worker.
 #[derive(Debug)]
 pub(crate) struct ShardPlan {
     /// Half-open router ranges `[start, end)`, one per shard,
     /// contiguous and balanced.
-    pub ranges: Vec<(usize, usize)>,
-    /// Owning shard per link (shard of `link.to`), ascending link id
-    /// within each shard's list.
-    pub link_owner: Vec<u32>,
-    /// Links owned by each shard, ascending.
-    pub links_of: Vec<Vec<u32>>,
+    ranges: Vec<(usize, usize)>,
+    /// The link count the partition covers.
+    links: usize,
+    /// Links whose flit wire each shard pops (those into its routers),
+    /// ascending.
+    flit_links: Vec<Vec<u32>>,
+    /// Links whose credit wire each shard pops (those out of its
+    /// routers), ascending.
+    credit_links: Vec<Vec<u32>>,
 }
 
 impl ShardPlan {
     pub(crate) fn new(routers: usize, links: &[Link], shards: usize) -> Self {
         let ranges: Vec<(usize, usize)> =
             (0..shards).map(|s| (s * routers / shards, (s + 1) * routers / shards)).collect();
-        let owner_of = |node: usize| -> u32 {
+        let owner_of = |node: NodeId| {
             ranges
                 .iter()
-                .position(|&(a, b)| node >= a && node < b)
-                .expect("router outside every shard range") as u32
+                .position(|&(a, b)| (a..b).contains(&node.index()))
+                .expect("router outside every shard range")
         };
-        let mut link_owner = Vec::with_capacity(links.len());
-        let mut links_of: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for (li, l) in links.iter().enumerate() {
-            let w = owner_of(l.to.0.index());
-            link_owner.push(w);
-            links_of[w as usize].push(li as u32);
-        }
-        ShardPlan { ranges, link_owner, links_of }
+        let partition = |end: fn(&Link) -> NodeId| {
+            let mut of: Vec<Vec<u32>> = vec![Vec::new(); shards];
+            for (li, l) in links.iter().enumerate() {
+                of[owner_of(end(l))].push(li as u32);
+            }
+            of
+        };
+        let flit_links = partition(|l| l.to.0);
+        let credit_links = partition(|l| l.from.0);
+        ShardPlan { ranges, links: links.len(), flit_links, credit_links }
+    }
+
+    /// Panics unless a phase's per-node tables (`rows` each) match the
+    /// partition: the workers index them unchecked.
+    fn check_nodes(&self, rows: &[usize]) {
+        let nodes = self.ranges.last().map_or(0, |r| r.1);
+        assert!(rows.iter().all(|&n| n == nodes), "node tables do not match the shard plan");
+    }
+
+    /// Panics unless the link table matches the partition.
+    fn check_links(&self, links: usize) {
+        assert_eq!(links, self.links, "link table does not match the shard plan");
     }
 }
 
@@ -419,33 +530,38 @@ impl ShardPlan {
 /// capacity — the steady-state step loop stays allocation-free).
 #[derive(Debug)]
 pub(crate) struct ShardCtx {
-    pub scratch: StepScratch,
-    pub tallies: PipelineTallies,
-    pub fx_log: Vec<Effect>,
+    scratch: StepScratch,
+    tallies: PipelineTallies,
+    pub pipeline: Vec<Effect>,
     pub p1_flits: Vec<P1Flit>,
     pub p1_credits: Vec<P1Credit>,
     pub nic_log: Vec<NicEntry>,
 }
 
 impl ShardCtx {
-    fn new(range_len: usize, owned_links: usize, radix: usize, vcs: usize, depth: usize) -> Self {
+    fn new(
+        range_len: usize,
+        flit_links: usize,
+        credit_links: usize,
+        radix: usize,
+        vcs: usize,
+        depth: usize,
+    ) -> Self {
         ShardCtx {
             scratch: StepScratch::new(radix, vcs),
             tallies: PipelineTallies::default(),
-            // Upper bounds with headroom: one ST grant per output port
-            // per router per cycle, each producing a handful of effects
-            // (plus stall/trace records under contention).
-            fx_log: Vec::with_capacity(range_len * radix * 8),
-            // At most one due flit and a couple of credits per link per
+            // At most one ST grant per output port per router per cycle.
+            pipeline: Vec::with_capacity(range_len * radix * 8),
+            // At most one due flit and a couple of credits per wire per
             // fault-free cycle.
-            p1_flits: Vec::with_capacity(owned_links * 2 + 8),
-            p1_credits: Vec::with_capacity(owned_links * 2 + 8),
+            p1_flits: Vec::with_capacity(flit_links * 2 + 8),
+            p1_credits: Vec::with_capacity(credit_links * 2 + 8),
             nic_log: Vec::with_capacity(range_len * vcs * depth + 8),
         }
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.fx_log.clear();
+    fn clear(&mut self) {
+        self.pipeline.clear();
         self.p1_flits.clear();
         self.p1_credits.clear();
         self.nic_log.clear();
@@ -611,13 +727,16 @@ fn worker_loop(shared: &PoolShared, idx: usize) {
 }
 
 /// Everything the sharded step needs, built once by
-/// `Network::set_shards` and reused every cycle.
+/// `Network::set_shards` and reused every cycle. Its three phase
+/// methods are the worker bodies of the sharded cycle; each returns
+/// after the barrier, leaving the order-sensitive remainder in the
+/// per-shard logs for `Network::step_sharded` to replay.
 #[derive(Debug)]
 pub(crate) struct ShardRuntime {
-    pub shards: usize,
-    pub plan: ShardPlan,
-    pub pool: WorkerPool,
-    pub ctxs: Vec<ShardCtx>,
+    shards: usize,
+    plan: ShardPlan,
+    pool: WorkerPool,
+    ctxs: Vec<ShardCtx>,
 }
 
 impl ShardRuntime {
@@ -634,58 +753,227 @@ impl ShardRuntime {
         let ctxs = (0..shards)
             .map(|s| {
                 let (a, b) = plan.ranges[s];
-                ShardCtx::new(b - a, plan.links_of[s].len(), radix, vcs, depth)
+                let (flits, credits) = (plan.flit_links[s].len(), plan.credit_links[s].len());
+                ShardCtx::new(b - a, flits, credits, radix, vcs, depth)
             })
             .collect();
         ShardRuntime { shards, plan, pool: WorkerPool::new(shards - 1), ctxs }
     }
+
+    /// The shard count.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The per-shard logs the last phase left, in shard order.
+    pub(crate) fn ctxs(&self) -> &[ShardCtx] {
+        &self.ctxs
+    }
+
+    /// Phase 1, link delivery. Each shard pops the flit wires of the
+    /// links into its routers, pushing every due flit straight into its
+    /// destination buffer and logging a [`P1Flit`], then pops the credit
+    /// wires of the links out of its routers and applies each credit in
+    /// place (logging a [`P1Credit`] only when `log_credits`). Clears
+    /// every shard context first.
+    pub(crate) fn deliver_links(
+        &mut self,
+        routers: &mut [Router],
+        activity: &mut [RouterActivity],
+        links: &mut [Link],
+        arena: &FlitArena,
+        cycle: u64,
+        log_credits: bool,
+    ) {
+        self.plan.check_nodes(&[routers.len(), activity.len()]);
+        self.plan.check_links(links.len());
+        let ShardRuntime { plan, pool, ctxs, .. } = self;
+        let plan = &*plan;
+        let ctxs = SyncPtr(ctxs.as_mut_ptr());
+        let routers = SyncPtr(routers.as_mut_ptr());
+        let activity = SyncPtr(activity.as_mut_ptr());
+        let wires = LinkWires::new(links);
+        pool.run(&move |s| {
+            // SAFETY: one context per shard, indexed by the shard's id.
+            let ctx = unsafe { &mut *ctxs.get().add(s) };
+            ctx.clear();
+            let range = plan.ranges[s].0..plan.ranges[s].1;
+            for &li in &plan.flit_links[s] {
+                let (dst, port) = wires.to(li as usize);
+                assert!(range.contains(&dst.index()), "flit wire {li} outside shard {s}");
+                // SAFETY: `dst` is in this shard's range (asserted above),
+                // and so is its activity row.
+                let router = unsafe { &mut *routers.get().add(dst.index()) };
+                // SAFETY: as for the router.
+                let act = unsafe { &mut *activity.get().add(dst.index()) };
+                // SAFETY: in the link phase the flit wire of `li` is
+                // popped only by the shard of its destination router, and
+                // nothing pushes it.
+                while let Some(f) = unsafe { wires.take_due_flit(li as usize, cycle) } {
+                    let (packet, head) = {
+                        let flit = arena.get(f.flit);
+                        (flit.packet, flit.is_head())
+                    };
+                    let fraction = router.receive_flit(port, f.vc, f.flit, arena, cycle);
+                    act.buffer_events += fraction;
+                    ctx.p1_flits.push(P1Flit { li, head, fraction, packet, dst, port, vc: f.vc });
+                }
+            }
+            for &li in &plan.credit_links[s] {
+                let (src, port) = wires.from(li as usize);
+                assert!(range.contains(&src.index()), "credit wire {li} outside shard {s}");
+                // SAFETY: `src` is in this shard's range (asserted above).
+                let router = unsafe { &mut *routers.get().add(src.index()) };
+                // SAFETY: in the link phase the credit wire of `li` is
+                // popped only by the shard of its source router, and
+                // nothing pushes it.
+                while let Some(c) = unsafe { wires.take_due_credit(li as usize, cycle) } {
+                    router.receive_credit(port, c.vc);
+                    if log_credits {
+                        ctx.p1_credits.push(P1Credit { li, vc: c.vc });
+                    }
+                }
+            }
+        });
+    }
+
+    /// Phase 2, router pipelines: each shard steps the non-quiescent
+    /// routers of its range through a [`DeferredFx`], which sends flits
+    /// and credits in place and logs the ordered remainder. The
+    /// commutative stage tallies merge into `counters` after the
+    /// barrier.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_routers(
+        &mut self,
+        routers: &mut [Router],
+        activity: &mut [RouterActivity],
+        links: &mut [Link],
+        arena: &mut FlitArena,
+        topo: &dyn Topology,
+        counters: &mut ActivityCounters,
+        cycle: u64,
+        traced: bool,
+        journeys_on: bool,
+    ) {
+        self.plan.check_nodes(&[routers.len(), activity.len()]);
+        self.plan.check_links(links.len());
+        let ShardRuntime { plan, pool, ctxs, .. } = self;
+        let plan = &*plan;
+        let ctxs = SyncPtr(ctxs.as_mut_ptr());
+        let routers = SyncPtr(routers.as_mut_ptr());
+        let activity = SyncPtr(activity.as_mut_ptr());
+        let wires = LinkWires::new(links);
+        let slots = ArenaSlots::new(arena);
+        pool.run(&move |s| {
+            // SAFETY: one context per shard, indexed by the shard's id.
+            let ctx = unsafe { &mut *ctxs.get().add(s) };
+            let (start, end) = plan.ranges[s];
+            for i in start..end {
+                // SAFETY: router `i` and its activity row are in this
+                // shard's range.
+                let r = unsafe { &mut *routers.get().add(i) };
+                if r.is_quiescent() {
+                    continue;
+                }
+                // SAFETY: as for the router.
+                let act = unsafe { &mut *activity.get().add(i) };
+                let mut fx = DeferredFx {
+                    node: NodeId(i),
+                    slots,
+                    wires,
+                    traced,
+                    journeys_on,
+                    log: &mut ctx.pipeline,
+                    t: &mut ctx.tallies,
+                };
+                r.step(cycle, topo, &mut ctx.scratch, act, &mut fx);
+            }
+        });
+        for ctx in &mut self.ctxs {
+            ctx.tallies.merge_into(counters);
+        }
+    }
+
+    /// Phase 4, NIC injection: each shard moves queued flits of its own
+    /// nodes into their local input buffers and logs a [`NicEntry`] per
+    /// flit. The fault-severance check of the sequential path is absent
+    /// by construction — fault runs never shard.
+    pub(crate) fn inject(
+        &mut self,
+        nics: &mut [Nic],
+        routers: &mut [Router],
+        activity: &mut [RouterActivity],
+        arena: &FlitArena,
+        cycle: u64,
+    ) {
+        self.plan.check_nodes(&[nics.len(), routers.len(), activity.len()]);
+        let ShardRuntime { plan, pool, ctxs, .. } = self;
+        let plan = &*plan;
+        let ctxs = SyncPtr(ctxs.as_mut_ptr());
+        let nics = SyncPtr(nics.as_mut_ptr());
+        let routers = SyncPtr(routers.as_mut_ptr());
+        let activity = SyncPtr(activity.as_mut_ptr());
+        pool.run(&move |s| {
+            // SAFETY: one context per shard, indexed by the shard's id.
+            let ctx = unsafe { &mut *ctxs.get().add(s) };
+            let (start, end) = plan.ranges[s];
+            for node in start..end {
+                // SAFETY: node `node`'s NIC, router and activity row are
+                // in this shard's range.
+                let nic = unsafe { &mut *nics.get().add(node) };
+                // SAFETY: as for the NIC.
+                let router = unsafe { &mut *routers.get().add(node) };
+                // SAFETY: as for the NIC.
+                let act = unsafe { &mut *activity.get().add(node) };
+                for (vc, queue) in nic.queues.iter_mut().enumerate() {
+                    while let Some(&fref) = queue.front() {
+                        if router.local_free_slots(VcId(vc)) == 0 {
+                            break;
+                        }
+                        queue.pop_front();
+                        let (packet, head) = {
+                            let flit = arena.get(fref);
+                            (flit.packet, flit.is_head())
+                        };
+                        let fraction =
+                            router.receive_flit(PortId::LOCAL, VcId(vc), fref, arena, cycle);
+                        act.buffer_events += fraction;
+                        let (node, vc) = (NodeId(node), VcId(vc));
+                        ctx.nic_log.push(NicEntry { node, vc, packet, head, fraction });
+                    }
+                }
+            }
+        });
+    }
 }
 
 /// A raw pointer that asserts cross-thread shareability. Soundness is
-/// the dispatcher's obligation: every sharded phase hands each worker a
-/// disjoint slice of the pointee (routers, activity, NICs, contexts, or
-/// links partitioned by owner).
-pub(crate) struct SyncPtr<T: ?Sized>(pub *mut T);
+/// the phase method's obligation: every sharded phase hands each worker
+/// a disjoint set of elements of the pointee (routers, activity rows,
+/// source queues or contexts of its own shard).
+struct SyncPtr<T>(*mut T);
 
 // Manual impls: the derives would bound on `T: Copy`, but the wrapper
 // copies the pointer, not the pointee.
-impl<T: ?Sized> Clone for SyncPtr<T> {
+impl<T> Clone for SyncPtr<T> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<T: ?Sized> Copy for SyncPtr<T> {}
+impl<T> Copy for SyncPtr<T> {}
 
-unsafe impl<T: ?Sized> Send for SyncPtr<T> {}
-unsafe impl<T: ?Sized> Sync for SyncPtr<T> {}
+// SAFETY: see the type's documentation — workers dereference disjoint
+// elements only, and `T: Send` lets them mutate those on other threads.
+unsafe impl<T: Send> Send for SyncPtr<T> {}
+// SAFETY: as for `Send`.
+unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
-impl<T: ?Sized> SyncPtr<T> {
+impl<T> SyncPtr<T> {
     /// The wrapped pointer. A method (not field access) so closures
     /// capture the `Sync` wrapper rather than disjointly capturing the
     /// raw pointer, which is `!Sync`.
     #[inline]
-    pub(crate) fn get(self) -> *mut T {
-        self.0
-    }
-}
-
-/// Shared-read twin of [`SyncPtr`].
-pub(crate) struct SyncConstPtr<T: ?Sized>(pub *const T);
-
-impl<T: ?Sized> Clone for SyncConstPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T: ?Sized> Copy for SyncConstPtr<T> {}
-
-unsafe impl<T: ?Sized> Send for SyncConstPtr<T> {}
-unsafe impl<T: ?Sized> Sync for SyncConstPtr<T> {}
-
-impl<T: ?Sized> SyncConstPtr<T> {
-    /// The wrapped pointer (see [`SyncPtr::get`] for why a method).
-    #[inline]
-    pub(crate) fn get(self) -> *const T {
+    fn get(self) -> *mut T {
         self.0
     }
 }
@@ -739,16 +1027,25 @@ mod tests {
         assert_eq!(plan.ranges.last(), Some(&(6, 9)));
         let covered: usize = plan.ranges.iter().map(|(a, b)| b - a).sum();
         assert_eq!(covered, 9, "every router in exactly one shard");
-        let mut seen = vec![0u32; links.len()];
-        for (w, ls) in plan.links_of.iter().enumerate() {
-            let mut prev = None;
-            for &li in ls {
-                assert_eq!(plan.link_owner[li as usize], w as u32);
-                assert!(prev.is_none_or(|p| p < li), "per-shard link list ascending");
-                prev = Some(li);
-                seen[li as usize] += 1;
+        // Flit wires go to the shard of `link.to`, credit wires to the
+        // shard of `link.from`; each partition lists every link exactly
+        // once, under the right shard, in ascending order.
+        let check = |of: &[Vec<u32>], end: fn(&Link) -> NodeId, wire: &str| {
+            let mut seen = vec![0u32; links.len()];
+            for (w, ls) in of.iter().enumerate() {
+                let (a, b) = plan.ranges[w];
+                let mut prev = None;
+                for &li in ls {
+                    let node = end(&links[li as usize]).index();
+                    assert!((a..b).contains(&node), "{wire} wire of link {li} under shard {w}");
+                    assert!(prev.is_none_or(|p| p < li), "per-shard {wire} list ascending");
+                    prev = Some(li);
+                    seen[li as usize] += 1;
+                }
             }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "every link owned exactly once");
+            assert!(seen.iter().all(|&c| c == 1), "every {wire} wire owned exactly once");
+        };
+        check(&plan.flit_links, |l| l.to.0, "flit");
+        check(&plan.credit_links, |l| l.from.0, "credit");
     }
 }

@@ -1829,7 +1829,7 @@ impl Runner {
 mod tests {
     use super::*;
     use crate::arch::Arch;
-    use crate::experiments::common::{quick_sim_config, run_arch};
+    use crate::experiments::common::{quick_sim_config, run_arch, run_custom};
     use mira_noc::traffic::UniformRandom;
     use std::sync::atomic::AtomicU32;
 
@@ -2030,8 +2030,20 @@ mod tests {
 
     #[test]
     fn watchdog_times_out_runaway_point() {
+        // The healthy point is a real but small simulation (4x4 mesh,
+        // short phases, one shard whatever `MIRA_SHARDS` says), so it
+        // finishes well inside the 60 ms budget even in a debug build on
+        // a loaded host.
         let points = vec![
-            ur_point("quick", Arch::TwoDB, 0.05, 21),
+            SimPoint::new("small", 21, |s| {
+                run_custom(
+                    Arch::TwoDB,
+                    Box::new(mira_noc::Mesh2D::new(4, 4)),
+                    Arch::TwoDB.network_config(false),
+                    Box::new(UniformRandom::new(0.05, 5, s)),
+                    mira_noc::SimConfig::short().with_shards(1),
+                )
+            }),
             SimPoint::new("stuck", 22, |s| {
                 std::thread::sleep(Duration::from_millis(600));
                 quick_run(s)

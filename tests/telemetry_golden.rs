@@ -10,9 +10,9 @@
 use mira::arch::Arch;
 use mira::experiments::common::{run_arch, EXPERIMENT_SEED};
 use mira::experiments::quick_sim_config;
-use mira_noc::telemetry::TelemetryConfig;
+use mira_noc::telemetry::{TelemetryConfig, TraceEvent};
 use mira_noc::traffic::{PayloadProfile, UniformRandom};
-use mira_noc::SimConfig;
+use mira_noc::{SimConfig, SimReport, Simulator};
 
 /// One pinned run: architecture, load, short-flit fraction, and the
 /// pre-telemetry golden observables (floats as IEEE-754 bit patterns).
@@ -131,6 +131,63 @@ fn enabled_telemetry_is_bit_identical_to_disabled() {
         let plain = run_point(g, quick_sim_config());
         assert_eq!(plain.report.counters, traced.report.counters, "{}: counters", g.name);
         assert_eq!(plain.pdp.to_bits(), traced.pdp.to_bits(), "{}: pdp", g.name);
+    }
+}
+
+/// Runs `arch` at `rate` (short-flit fraction `short`, layer shutdown
+/// when non-zero) with the trace sink and journeys on, on `shards`
+/// shards, returning the report and every recorded trace event.
+fn traced_events(
+    arch: Arch,
+    rate: f64,
+    short: f64,
+    shards: usize,
+) -> (SimReport, Vec<TraceEvent>, usize) {
+    let mut w = UniformRandom::new(rate, 5, EXPERIMENT_SEED);
+    if short > 0.0 {
+        w = w.with_payload(PayloadProfile::with_short_fraction(4, short));
+    }
+    let cfg = quick_sim_config()
+        .with_telemetry(TelemetryConfig {
+            metrics_window: 500,
+            trace_capacity: 1 << 22,
+            journey_sample_ppm: 1_000_000,
+            journey_seed: 0,
+        })
+        .with_shards(shards);
+    let mut sim = Simulator::new(arch.topology(), arch.network_config(short > 0.0), cfg);
+    let report = sim.run(Box::new(w));
+    let sink = sim.network().trace_sink().expect("trace sink installed");
+    assert_eq!(sink.dropped(), 0, "{arch}: the ring must hold the whole run");
+    (report, sink.events().copied().collect(), sim.journeys().len())
+}
+
+/// The sharded engine replays trace events and journey records in the
+/// sequential order: with the trace sink and journeys on, 2 and 4
+/// shards record the 1-shard event stream event for event, on a 2DB
+/// point and a 3DM layer-shutdown point.
+#[test]
+fn traced_event_stream_is_identical_across_shard_counts() {
+    for (arch, rate, short) in [(Arch::TwoDB, 0.10, 0.0), (Arch::ThreeDM, 0.20, 0.5)] {
+        let (base, events, journeys) = traced_events(arch, rate, short, 1);
+        assert!(!events.is_empty() && journeys > 0, "{arch}: the run was traced");
+        for shards in [2, 4] {
+            let (report, sharded, sharded_journeys) = traced_events(arch, rate, short, shards);
+            assert_eq!(sharded.len(), events.len(), "{arch}/{shards} shards: event count");
+            if let Some(i) = (0..events.len()).find(|&i| sharded[i] != events[i]) {
+                panic!(
+                    "{arch}/{shards} shards: event {i} differs: {:?} != {:?}",
+                    sharded[i], events[i]
+                );
+            }
+            assert_eq!(sharded_journeys, journeys, "{arch}/{shards} shards: journeys");
+            assert_eq!(report.counters, base.counters, "{arch}/{shards} shards: counters");
+            assert_eq!(
+                report.avg_latency.to_bits(),
+                base.avg_latency.to_bits(),
+                "{arch}/{shards} shards: avg_latency"
+            );
+        }
     }
 }
 
