@@ -1,9 +1,9 @@
-//! `Network::step` throughput runner: times the same arch × load matrix
-//! as the `step_throughput` criterion bench with plain wall-clock
-//! timing and writes `BENCH_step.json` into the current directory (the
-//! repo root under CI) for trend tracking. A full run also appends the
-//! sharded-stepping scaling block (DESIGN.md §18): a 16×16 and a 32×32
-//! 2D mesh at saturated load, each at 1, 2 and 4 shard workers.
+//! `Network::step` throughput runner: times an arch × load matrix with
+//! plain wall-clock timing and writes `BENCH_step.json` into the current
+//! directory (the repo root under CI) for trend tracking. A full run also
+//! appends the sharded-stepping scaling block (DESIGN.md §18): a 16×16
+//! and a 32×32 2D mesh at saturated load, each at 1, 2 and 4 shard
+//! workers.
 //!
 //! `--quick` shortens the timed window; `--json` also prints the file's
 //! contents to stdout. `--mesh WxH` restricts the run to that 2D mesh

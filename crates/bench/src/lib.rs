@@ -645,10 +645,9 @@ pub fn emit_with_runner<T: serde::Serialize>(
 
 /// Drives a bare [`Network`](mira::noc::network::Network) under
 /// uniform-random load for `cycles` cycles and returns the flits
-/// ejected — the measured unit of the `step_throughput` criterion bench
-/// and the `bench_step` binary. No warm-up, measurement, or drain
-/// phases: this times `Network::step` itself, not the simulation
-/// driver.
+/// ejected — the measured unit of the `bench_step` binary. No warm-up,
+/// measurement, or drain phases: this times `Network::step` itself, not
+/// the simulation driver.
 pub fn drive_network_step(arch: Arch, rate: f64, cycles: u64) -> u64 {
     drive_network_step_sharded(arch, rate, cycles, None, 0)
 }

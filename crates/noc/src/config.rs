@@ -271,26 +271,51 @@ impl NetworkConfigBuilder {
     }
 }
 
-/// The process-wide default shard count for intra-run sharded stepping
-/// (DESIGN.md §18), from the `MIRA_SHARDS` environment variable. Unset,
-/// unparsable, or `0` all mean 1 — sequential stepping, byte-identical
-/// to builds without the shard subsystem. Cached on first read: tests
-/// that need a specific count use `SimConfig::with_shards` or
-/// `Network::set_shards` instead of mutating the environment.
+/// The process-wide default shard count of the cycle engine (DESIGN.md
+/// §18), from the `MIRA_SHARDS` environment variable. Unset, blank or
+/// `0` mean 1 — every phase on the calling thread. Any other value that
+/// is not a shard count (`two`, `-1`) panics with a message naming the
+/// variable and the value. Cached on first read: tests that need a
+/// specific count use `SimConfig::with_shards` or `Network::set_shards`
+/// instead of mutating the environment.
 pub fn shards_from_env() -> usize {
     static SHARDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *SHARDS.get_or_init(|| {
-        std::env::var("MIRA_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1)
+        let raw = std::env::var_os("MIRA_SHARDS").map(|v| v.to_string_lossy().into_owned());
+        parse_shards(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    })
+}
+
+/// Parses a `MIRA_SHARDS` value (`None` when unset) into a shard count.
+fn parse_shards(raw: Option<&str>) -> Result<usize, String> {
+    let Some(v) = raw.map(str::trim).filter(|v| !v.is_empty()) else {
+        return Ok(1);
+    };
+    v.parse::<usize>().map(|n| n.max(1)).map_err(|_| {
+        format!("MIRA_SHARDS={v:?} is not a shard count (expects an integer >= 0; 0 means 1)")
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_counts_parse_with_unset_blank_and_zero_meaning_one() {
+        for (raw, want) in [(None, 1), (Some(""), 1), (Some("  "), 1), (Some("0"), 1)] {
+            assert_eq!(parse_shards(raw), Ok(want), "{raw:?}");
+        }
+        assert_eq!(parse_shards(Some("1")), Ok(1));
+        assert_eq!(parse_shards(Some(" 4 ")), Ok(4));
+    }
+
+    #[test]
+    fn unparsable_shard_counts_name_the_variable_and_value() {
+        for raw in ["two", "-1", "1.5", "2x"] {
+            let err = parse_shards(Some(raw)).expect_err(raw);
+            assert!(err.contains("MIRA_SHARDS") && err.contains(raw), "{err}");
+        }
+    }
 
     #[test]
     fn default_matches_paper() {

@@ -18,8 +18,8 @@ use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
 use crate::link::Link;
 use crate::packet::{Packet, PacketId};
-use crate::router::{EjectedFlit, Router, StepScratch};
-use crate::shard::{DirectFx, Effect, P1Flit, ShardRuntime, MAX_SHARDS};
+use crate::router::{EjectedFlit, Router};
+use crate::shard::{accept_credit, accept_flit, ShardRuntime, Sinks, MAX_SHARDS};
 use crate::stats::{ActivityCounters, RouterActivity};
 use crate::telemetry::{
     EventSink, MetricsCollector, MetricsWindow, NullSink, StallCounters, TelemetryConfig,
@@ -55,7 +55,7 @@ const MAX_FAULT_ERRORS: usize = 64;
 /// [`Network::set_faults`] engaged it — the default path only ever
 /// checks the `Option`.
 #[derive(Debug)]
-struct FaultRuntime {
+pub(crate) struct FaultRuntime {
     plan: FaultPlan,
     /// Per-link dead flags (permanent kills that already fired).
     dead: Vec<bool>,
@@ -69,6 +69,40 @@ struct FaultRuntime {
     counters: FaultCounters,
     /// Retry-exhaustion errors, capped at [`MAX_FAULT_ERRORS`].
     errors: Vec<NocError>,
+}
+
+impl FaultRuntime {
+    /// Marks `pid` severed (dropped): its remaining flits are discarded
+    /// wherever they surface and the simulator is notified once.
+    fn sever(&mut self, pid: PacketId, site: (NodeId, PortId), out: &mut Sinks<'_>) {
+        if self.severed.insert(pid) {
+            self.counters.packets_dropped += 1;
+            self.dropped.push(pid);
+            if out.traced {
+                out.sink.record(TraceEvent {
+                    cycle: out.cycle,
+                    router: site.0,
+                    port: site.1,
+                    vc: VcId(0),
+                    kind: TraceEventKind::PacketDrop,
+                    packet: pid.0,
+                    detail: 0,
+                });
+            }
+        }
+    }
+
+    /// Frees the queued flit at `fref` and counts the drop when its
+    /// packet was severed: such flits die at the source, because the
+    /// packet can no longer be delivered whole.
+    pub(crate) fn swallow_severed(&mut self, fref: FlitRef, arena: &mut FlitArena) -> bool {
+        if !self.severed.contains(&arena.get(fref).packet) {
+            return false;
+        }
+        arena.free(fref);
+        self.counters.flits_dropped += 1;
+        true
+    }
 }
 
 /// Host-side high-water marks of the network's core data structures
@@ -96,9 +130,6 @@ pub struct Network {
     /// queues, router buffers, link wires) lives in one slot here and
     /// moves as a [`FlitRef`].
     arena: FlitArena,
-    /// Reusable per-step scratch space shared by every router (router
-    /// steps are sequential, so one set suffices for the whole network).
-    scratch: StepScratch,
     ejected: Vec<EjectedFlit>,
     counters: ActivityCounters,
     activity: Vec<RouterActivity>,
@@ -113,11 +144,10 @@ pub struct Network {
     journeys: Option<Box<JourneyRecorder>>,
     /// Fault-injection runtime, absent (and zero-cost) by default.
     faults: Option<Box<FaultRuntime>>,
-    /// Sharded-stepping runtime (worker pool + partition + per-shard
-    /// effect logs), absent unless [`Network::set_shards`] engaged it.
-    /// With it absent — or with fault injection engaged — every step
-    /// takes the sequential path.
-    shard_rt: Option<Box<ShardRuntime>>,
+    /// The cycle engine's shard state (partition, worker pool, per-shard
+    /// scratch and effect logs); one shard unless [`Network::set_shards`]
+    /// or `MIRA_SHARDS` asked for more.
+    rt: ShardRuntime,
 }
 
 impl std::fmt::Debug for Network {
@@ -131,12 +161,19 @@ impl std::fmt::Debug for Network {
 }
 
 impl Network {
-    /// Builds the network for `topo` under `cfg`.
+    /// Builds the network for `topo` under `cfg`, its engine split into
+    /// the `MIRA_SHARDS` default shard count.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` is invalid (see [`NetworkConfig::validate`]).
     pub fn new(topo: Box<dyn Topology>, cfg: NetworkConfig) -> Self {
+        Network::with_shards(topo, cfg, crate::config::shards_from_env())
+    }
+
+    /// [`Network::new`] with an explicit shard count (clamped as by
+    /// [`Network::set_shards`]), so the shard runtime is built once.
+    pub(crate) fn with_shards(topo: Box<dyn Topology>, cfg: NetworkConfig, shards: usize) -> Self {
         cfg.validate().expect("invalid network configuration");
         let n = topo.num_nodes();
         let radix = topo.radix();
@@ -165,8 +202,9 @@ impl Network {
         // slot full) plus headroom for wires and source queues; it still
         // grows on demand past this.
         let fabric_slots = n * radix * vcs * cfg.router.buffer_depth;
-        let mut net = Network {
-            scratch: StepScratch::new(radix, vcs),
+        let shards = shards.clamp(1, n.min(MAX_SHARDS));
+        let rt = ShardRuntime::new(shards, n, &links, radix, vcs, cfg.router.buffer_depth);
+        Network {
             arena: FlitArena::with_capacity(2 * fabric_slots),
             topo,
             cfg,
@@ -180,46 +218,38 @@ impl Network {
             metrics: None,
             journeys: None,
             faults: None,
-            shard_rt: None,
-        };
-        let env_shards = crate::config::shards_from_env();
-        if env_shards > 1 {
-            net.set_shards(env_shards);
+            rt,
         }
-        net
     }
 
-    /// Engages sharded stepping with `shards` workers (DESIGN.md §18):
-    /// the routers are partitioned into contiguous spatial tiles, each
+    /// Splits the cycle engine into `shards` shards (DESIGN.md §18): the
+    /// routers are partitioned into contiguous spatial tiles, each
     /// cycle's phases run tile-parallel on a persistent pool, and every
     /// globally ordered effect replays in canonical order — the run
-    /// stays bit-identical at any shard count. `shards <= 1` returns to
-    /// sequential stepping; the count is clamped to the router count
-    /// and an internal cap. Fault-injection runs always step
-    /// sequentially regardless of this setting.
+    /// stays bit-identical at any shard count. One shard (`shards <= 1`)
+    /// runs every phase on the calling thread, applying effects in
+    /// place. The count is clamped to the router count and an internal
+    /// cap. Fault-injection runs step every phase inline whatever the
+    /// count.
     pub fn set_shards(&mut self, shards: usize) {
         let n = self.routers.len();
         let shards = shards.clamp(1, n.min(MAX_SHARDS));
-        if shards <= 1 {
-            self.shard_rt = None;
-            return;
+        if shards != self.rt.shards() {
+            self.rt = ShardRuntime::new(
+                shards,
+                n,
+                &self.links,
+                self.topo.radix(),
+                self.cfg.router.vcs_per_port,
+                self.cfg.router.buffer_depth,
+            );
         }
-        if self.shard_rt.as_ref().is_some_and(|rt| rt.shards() == shards) {
-            return;
-        }
-        self.shard_rt = Some(Box::new(ShardRuntime::new(
-            shards,
-            n,
-            &self.links,
-            self.topo.radix(),
-            self.cfg.router.vcs_per_port,
-            self.cfg.router.buffer_depth,
-        )));
     }
 
-    /// The engaged shard count (1 when stepping sequentially).
+    /// The engine's shard count (1 unless split by
+    /// [`Network::set_shards`] or `MIRA_SHARDS`).
     pub fn shards(&self) -> usize {
-        self.shard_rt.as_ref().map_or(1, |rt| rt.shards())
+        self.rt.shards()
     }
 
     /// Engages fault injection per `cfg`: compiles the fault plan
@@ -404,81 +434,44 @@ impl Network {
     /// [`Phase::StepTotal`](mira_obs::phase::Phase), which is what makes
     /// the profiler's ≥95 % coverage claim checkable. With observability
     /// off (the default) every scope is one relaxed atomic load.
+    ///
+    /// The phase bodies live in [`crate::shard`]: with one shard they
+    /// run here and apply every effect in place; with N they run on
+    /// every shard and the order-sensitive remainder replays here.
     pub fn step(&mut self, cycle: u64) {
-        // Fault injection mutates links and the arena from inside the
-        // delivery loop in ways the shard partition does not isolate, so
-        // fault runs always take the (bit-identical) sequential path.
-        if self.shard_rt.is_some() && self.faults.is_none() {
-            self.step_sharded(cycle);
-        } else {
-            self.step_sequential(cycle);
-        }
-    }
-
-    /// The sequential cycle: every phase on the calling thread, effects
-    /// applied inline through [`DirectFx`].
-    fn step_sequential(&mut self, cycle: u64) {
         let _step = obs_scope(ObsPhase::StepTotal);
-        self.counters.cycles += 1;
-        let traced = self.sink.enabled();
+        let Network {
+            topo,
+            cfg,
+            routers,
+            links,
+            nics,
+            arena,
+            ejected,
+            counters,
+            activity,
+            sink,
+            metrics,
+            journeys,
+            faults,
+            rt,
+        } = self;
+        counters.cycles += 1;
+        let mut out =
+            Sinks::new(cycle, counters, arena, ejected, sink.as_mut(), journeys.as_deref_mut());
+        // A fault run steps every phase inline: its link layer clones
+        // ARQ flits into the arena and frees slots mid-phase, which the
+        // shard partition does not isolate.
+        let inline = faults.is_some();
 
         // 1. Deliver due flits and credits from the links — through the
         // fault layer when fault injection is engaged.
         let link_scope = obs_scope(ObsPhase::LinkDelivery);
-        if self.faults.is_some() {
-            let mut fr = self.faults.take().expect("checked above");
-            self.fault_link_phase(cycle, &mut fr, traced);
-            self.faults = Some(fr);
-        } else {
-            for li in 0..self.links.len() {
-                while let Some(f) = self.links[li].take_due_flit(cycle) {
-                    let (dst, port) = self.links[li].to;
-                    let (packet, is_head) = {
-                        let flit = self.arena.get(f.flit);
-                        (flit.packet, flit.is_head())
-                    };
-                    if traced {
-                        self.sink.record(TraceEvent {
-                            cycle,
-                            router: dst,
-                            port,
-                            vc: f.vc,
-                            kind: TraceEventKind::BufferWrite,
-                            packet: packet.0,
-                            detail: 0,
-                        });
-                    }
-                    if is_head {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_link_arrival(packet, dst, port, cycle);
-                        }
-                    }
-                    let fraction = self.routers[dst.index()].receive_flit(
-                        port,
-                        f.vc,
-                        f.flit,
-                        &self.arena,
-                        cycle,
-                    );
-                    self.counters.record_buffer_write(fraction);
-                    self.activity[dst.index()].buffer_events += fraction;
-                }
-                while let Some(c) = self.links[li].take_due_credit(cycle) {
-                    let (src, port) = self.links[li].from;
-                    if traced {
-                        self.sink.record(TraceEvent {
-                            cycle,
-                            router: src,
-                            port,
-                            vc: c.vc,
-                            kind: TraceEventKind::CreditReturn,
-                            packet: 0,
-                            detail: 0,
-                        });
-                    }
-                    self.routers[src.index()].receive_credit(port, c.vc);
-                }
+        match faults.as_deref_mut() {
+            Some(fr) => {
+                fault_link_phase(fr, routers, activity, links, &mut out, cfg.layer_shutdown)
             }
+            None => rt.deliver_links(routers, activity, links, &mut out),
         }
         drop(link_scope);
 
@@ -487,49 +480,21 @@ impl Network {
         // trace, or arbiter state can change — so the active-set skip
         // costs nothing in fidelity and most of the fabric at low load.
         let pipeline_scope = obs_scope(ObsPhase::RouterPipeline);
-        {
-            let Network {
-                topo,
-                routers,
-                links,
-                arena,
-                scratch,
-                counters,
-                activity,
-                ejected,
-                sink,
-                journeys,
-                ..
-            } = self;
-            for (i, r) in routers.iter_mut().enumerate() {
-                if r.is_quiescent() {
-                    continue;
-                }
-                let mut fx = DirectFx {
-                    arena: &mut *arena,
-                    links: links.as_mut_slice(),
-                    counters: &mut *counters,
-                    ejected: &mut *ejected,
-                    sink: sink.as_mut(),
-                    journeys: journeys.as_deref_mut(),
-                };
-                r.step(cycle, &**topo, &mut *scratch, &mut activity[i], &mut fx);
-            }
-        }
+        rt.step_routers(routers, activity, links, &**topo, &mut out, inline);
         drop(pipeline_scope);
 
         // 3. Occupancy accounting: buffered flits this cycle (globally
         // for the energy model, per router for the metrics windows).
         let occupancy_scope = obs_scope(ObsPhase::Occupancy);
         let mut occupancy_total = 0u64;
-        for (i, r) in self.routers.iter().enumerate() {
+        for (i, r) in routers.iter().enumerate() {
             let buffered = r.buffered_flits() as u64;
             occupancy_total += buffered;
-            if let Some(m) = &mut self.metrics {
+            if let Some(m) = metrics {
                 m.record_occupancy(i, buffered);
             }
         }
-        self.counters.buffer_occupancy_flit_cycles += occupancy_total;
+        out.counters.buffer_occupancy_flit_cycles += occupancy_total;
         drop(occupancy_scope);
 
         // 4. NIC injection: move queued flits into local input buffers.
@@ -537,258 +502,15 @@ impl Network {
         // this cycle is immediately refillable — the NIC plays the role of
         // an upstream pipeline latch, keeping wormhole streaming gapless.
         let nic_scope = obs_scope(ObsPhase::NicInject);
-        for node in 0..self.nics.len() {
-            for vc in 0..self.cfg.router.vcs_per_port {
-                while let Some(&fref) = self.nics[node].queues[vc].front() {
-                    // Flits of a severed packet die at the source: the
-                    // packet can no longer be delivered whole.
-                    if let Some(fr) = &mut self.faults {
-                        if fr.severed.contains(&self.arena.get(fref).packet) {
-                            self.nics[node].queues[vc].pop_front();
-                            self.arena.free(fref);
-                            fr.counters.flits_dropped += 1;
-                            continue;
-                        }
-                    }
-                    if self.routers[node].local_free_slots(VcId(vc)) == 0 {
-                        break;
-                    }
-                    self.nics[node].queues[vc].pop_front();
-                    self.counters.flits_injected += 1;
-                    let (packet, is_head) = {
-                        let flit = self.arena.get(fref);
-                        (flit.packet, flit.is_head())
-                    };
-                    if is_head {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_nic_inject(packet, NodeId(node), cycle);
-                        }
-                    }
-                    if traced {
-                        self.sink.record(TraceEvent {
-                            cycle,
-                            router: NodeId(node),
-                            port: PortId::LOCAL,
-                            vc: VcId(vc),
-                            kind: TraceEventKind::BufferWrite,
-                            packet: packet.0,
-                            detail: 0,
-                        });
-                    }
-                    let fraction = self.routers[node].receive_flit(
-                        PortId::LOCAL,
-                        VcId(vc),
-                        fref,
-                        &self.arena,
-                        cycle,
-                    );
-                    self.counters.record_buffer_write(fraction);
-                    self.activity[node].buffer_events += fraction;
-                }
-            }
-        }
-
+        out.faults = faults.as_deref_mut();
+        rt.inject(nics, routers, activity, &mut out, inline);
         drop(nic_scope);
 
         // 5. Close a metrics window on its boundary cycle.
         let _telemetry_scope = obs_scope(ObsPhase::Telemetry);
-        if let Some(m) = &mut self.metrics {
-            let routers = &self.routers;
+        if let Some(m) = metrics {
             m.end_cycle(cycle, |i| routers[i].telemetry());
         }
-    }
-
-    /// The sharded cycle (DESIGN.md §18). Three pool dispatches — link
-    /// delivery, router pipelines, NIC injection — run every effect a
-    /// shard owns on its worker (the phase methods of [`ShardRuntime`]
-    /// hold the worker bodies and their soundness argument). After each
-    /// barrier this thread replays only the order-sensitive remainder —
-    /// the f64 counter sums, the arena free list, trace and journey
-    /// records — in the sequential path's order.
-    fn step_sharded(&mut self, cycle: u64) {
-        let _step = obs_scope(ObsPhase::StepTotal);
-        self.counters.cycles += 1;
-        let traced = self.sink.enabled();
-        let journeys_on = self.journeys.is_some();
-        let mut rt = self.shard_rt.take().expect("sharded step without a runtime");
-
-        // 1. Link delivery. Flits land in their (shard-owned) destination
-        // routers and credits in their (shard-owned) source routers on
-        // the workers; the replay restores link order for the buffer-
-        // write sum, journey arrivals and trace events.
-        let link_scope = obs_scope(ObsPhase::LinkDelivery);
-        rt.deliver_links(
-            &mut self.routers,
-            &mut self.activity,
-            &mut self.links,
-            &self.arena,
-            cycle,
-            traced,
-        );
-        // Per link, flits then credits: the sequential loop's order, so
-        // BufferWrite and CreditReturn events interleave as there. Every
-        // shard's flit and credit logs are link-ascending, so a k-way
-        // merge on (link, flits first) over them restores that order.
-        // Credits are logged only when traced, so untraced the merge
-        // costs O(flits delivered), not O(links).
-        let mut fcur = [0usize; MAX_SHARDS];
-        let mut ccur = [0usize; MAX_SHARDS];
-        loop {
-            let mut next: Option<(u32, bool, usize)> = None;
-            for (s, ctx) in rt.ctxs().iter().enumerate() {
-                let flit = ctx.p1_flits.get(fcur[s]).map(|e| (e.li, false, s));
-                let credit = ctx.p1_credits.get(ccur[s]).map(|e| (e.li, true, s));
-                for key in [flit, credit].into_iter().flatten() {
-                    if next.is_none_or(|n| (key.0, key.1) < (n.0, n.1)) {
-                        next = Some(key);
-                    }
-                }
-            }
-            let Some((li, is_credit, s)) = next else { break };
-            if is_credit {
-                let vc = rt.ctxs()[s].p1_credits[ccur[s]].vc;
-                ccur[s] += 1;
-                let (src, port) = self.links[li as usize].from;
-                self.sink.record(TraceEvent {
-                    cycle,
-                    router: src,
-                    port,
-                    vc,
-                    kind: TraceEventKind::CreditReturn,
-                    packet: 0,
-                    detail: 0,
-                });
-            } else {
-                self.replay_arrival(&rt.ctxs()[s].p1_flits[fcur[s]], cycle, traced);
-                fcur[s] += 1;
-            }
-        }
-        drop(link_scope);
-
-        // 2. Router pipelines, tile-parallel. Within a cycle the routers
-        // are mutually isolated — cross-router traffic only moves over
-        // wires with future delivery cycles — so each shard steps its
-        // range, sending flits and credits itself, and the logs replay
-        // here in router-ascending order (shard ranges are contiguous
-        // and ascending, so shard order *is* router order).
-        let pipeline_scope = obs_scope(ObsPhase::RouterPipeline);
-        rt.step_routers(
-            &mut self.routers,
-            &mut self.activity,
-            &mut self.links,
-            &mut self.arena,
-            &*self.topo,
-            &mut self.counters,
-            cycle,
-            traced,
-            journeys_on,
-        );
-        for ctx in rt.ctxs() {
-            for &effect in &ctx.pipeline {
-                match effect {
-                    Effect::StRead { fraction } => {
-                        self.counters.record_buffer_read(fraction);
-                        self.counters.record_xbar(fraction);
-                    }
-                    Effect::Link { length_mm, fraction } => {
-                        self.counters.record_link(length_mm, fraction)
-                    }
-                    Effect::Eject { fref, node, tail } => {
-                        self.counters.flits_ejected += 1;
-                        if tail {
-                            self.counters.packets_ejected += 1;
-                        }
-                        self.ejected.push(EjectedFlit { flit: self.arena.take(fref), node, cycle });
-                    }
-                    Effect::JourneySt { packet, out_port } => {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_st(packet, out_port, cycle);
-                        }
-                    }
-                    Effect::JourneyStall { packet, router, cause, head } => {
-                        if let Some(j) = &mut self.journeys {
-                            j.on_stall(packet, router, cause, head);
-                        }
-                    }
-                    Effect::Trace(ev) => self.sink.record(ev),
-                }
-            }
-        }
-        drop(pipeline_scope);
-
-        // 3. Occupancy accounting (sequential; a sum over routers).
-        let occupancy_scope = obs_scope(ObsPhase::Occupancy);
-        let mut occupancy_total = 0u64;
-        for (i, r) in self.routers.iter().enumerate() {
-            let buffered = r.buffered_flits() as u64;
-            occupancy_total += buffered;
-            if let Some(m) = &mut self.metrics {
-                m.record_occupancy(i, buffered);
-            }
-        }
-        self.counters.buffer_occupancy_flit_cycles += occupancy_total;
-        drop(occupancy_scope);
-
-        // 4. NIC injection, tile-parallel: the NIC queue, destination
-        // router, and activity row are all shard-local (node ranges
-        // coincide with router ranges); the global counter, journey,
-        // and trace records replay in node order.
-        let nic_scope = obs_scope(ObsPhase::NicInject);
-        rt.inject(&mut self.nics, &mut self.routers, &mut self.activity, &self.arena, cycle);
-        for ctx in rt.ctxs() {
-            for e in &ctx.nic_log {
-                self.counters.flits_injected += 1;
-                if e.head {
-                    if let Some(j) = &mut self.journeys {
-                        j.on_nic_inject(e.packet, e.node, cycle);
-                    }
-                }
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: e.node,
-                        port: PortId::LOCAL,
-                        vc: e.vc,
-                        kind: TraceEventKind::BufferWrite,
-                        packet: e.packet.0,
-                        detail: 0,
-                    });
-                }
-                self.counters.record_buffer_write(e.fraction);
-            }
-        }
-        drop(nic_scope);
-
-        // 5. Close a metrics window on its boundary cycle.
-        let telemetry_scope = obs_scope(ObsPhase::Telemetry);
-        if let Some(m) = &mut self.metrics {
-            let routers = &self.routers;
-            m.end_cycle(cycle, |i| routers[i].telemetry());
-        }
-        drop(telemetry_scope);
-        self.shard_rt = Some(rt);
-    }
-
-    /// The ordered remainder of one flit a link-phase worker delivered:
-    /// its trace event, journey arrival and buffer-write sum.
-    fn replay_arrival(&mut self, e: &P1Flit, cycle: u64, traced: bool) {
-        if traced {
-            self.sink.record(TraceEvent {
-                cycle,
-                router: e.dst,
-                port: e.port,
-                vc: e.vc,
-                kind: TraceEventKind::BufferWrite,
-                packet: e.packet.0,
-                detail: 0,
-            });
-        }
-        if e.head {
-            if let Some(j) = &mut self.journeys {
-                j.on_link_arrival(e.packet, e.dst, e.port, cycle);
-            }
-        }
-        self.counters.record_buffer_write(e.fraction);
     }
 
     /// Host-side high-water marks of the core data structures, for the
@@ -799,246 +521,6 @@ impl Network {
             arena_live_peak: self.arena.live_peak(),
             arena_slots: self.arena.capacity_slots(),
             router_buffer_peak: self.routers.iter().map(Router::buffer_peak).max().unwrap_or(0),
-        }
-    }
-
-    /// Marks `pid` severed (dropped): its remaining flits are discarded
-    /// wherever they surface and the simulator is notified once.
-    fn sever(&mut self, fr: &mut FaultRuntime, pid: PacketId, site: (NodeId, PortId), cycle: u64) {
-        if fr.severed.insert(pid) {
-            fr.counters.packets_dropped += 1;
-            fr.dropped.push(pid);
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent {
-                    cycle,
-                    router: site.0,
-                    port: site.1,
-                    vc: VcId(0),
-                    kind: TraceEventKind::PacketDrop,
-                    packet: pid.0,
-                    detail: 0,
-                });
-            }
-        }
-    }
-
-    /// The fault-aware replacement for the link-delivery phase: fires
-    /// due permanent kills, reaps severed-packet stubs out of router
-    /// buffers, services scheduled retransmissions, applies the fault
-    /// plan's verdict to every delivery, and keeps the per-router
-    /// link-paused flags current.
-    fn fault_link_phase(&mut self, cycle: u64, fr: &mut FaultRuntime, traced: bool) {
-        // (a) Fire scheduled permanent kills. The forward wire dies (the
-        // reverse credit wire is modelled as surviving — credits are an
-        // abstraction of buffer state, not a physical channel here);
-        // every unacknowledged flit is lost, its packet severed, and its
-        // reserved downstream slot credited back so upstream streaming
-        // into the black hole does not wedge.
-        while fr.next_kill < fr.plan.kills().len() && fr.plan.kills()[fr.next_kill].cycle <= cycle {
-            let li = fr.plan.kills()[fr.next_kill].link;
-            fr.next_kill += 1;
-            if fr.dead[li] {
-                continue;
-            }
-            fr.dead[li] = true;
-            fr.counters.links_killed += 1;
-            let (node, port) = self.links[li].from;
-            for (pid, vc) in self.links[li].kill(&mut self.arena) {
-                fr.counters.flits_dropped += 1;
-                self.links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
-                self.sever(fr, pid, (node, port), cycle);
-            }
-            self.routers[node.index()].on_port_death(port);
-            if traced {
-                self.sink.record(TraceEvent {
-                    cycle,
-                    router: node,
-                    port,
-                    vc: VcId(0),
-                    kind: TraceEventKind::FaultInject,
-                    packet: 0,
-                    detail: li as u32,
-                });
-            }
-        }
-
-        // (b) Reap buffered stubs of severed packets (skipping VCs with
-        // a pending switch grant; they purge next cycle).
-        if !fr.severed.is_empty() {
-            for r in &mut self.routers {
-                fr.counters.flits_dropped +=
-                    r.purge_severed(&fr.severed, cycle, &mut self.arena, &mut self.links);
-            }
-        }
-
-        // (c) Per link: execute due retransmissions, then deliver.
-        for li in 0..self.links.len() {
-            let resent = self.links[li].arq_service(cycle, &mut self.arena);
-            if resent > 0 {
-                fr.counters.retransmissions += resent;
-                if traced {
-                    let (node, port) = self.links[li].from;
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: node,
-                        port,
-                        vc: VcId(0),
-                        kind: TraceEventKind::Retransmit,
-                        packet: 0,
-                        detail: resent as u32,
-                    });
-                }
-            }
-            'deliver: while let Some(f) = self.links[li].take_due_flit(cycle) {
-                let (dst, port) = self.links[li].to;
-                let upstream = self.links[li].from;
-                let pid = self.arena.get(f.flit).packet;
-                if fr.dead[li] || fr.severed.contains(&pid) {
-                    // Black hole (the link died under the flit) or a
-                    // stub of an already-dropped packet: swallow it,
-                    // acknowledge so the window drains, and credit the
-                    // reserved slot back.
-                    self.links[li].arq_ack(f.seq);
-                    fr.counters.flits_dropped += 1;
-                    self.links[li].send_credit(f.vc, Link::delivery_cycle(cycle, 0));
-                    self.arena.free(f.flit);
-                    if fr.dead[li] {
-                        self.sever(fr, pid, upstream, cycle);
-                    }
-                    continue;
-                }
-                let (num_words, active_words) = {
-                    let data = &self.arena.get(f.flit).data;
-                    (data.num_words(), data.active_words())
-                };
-                let verdict = fr.plan.verdict(
-                    li,
-                    f.seq,
-                    cycle,
-                    num_words,
-                    active_words,
-                    self.cfg.layer_shutdown,
-                );
-                match verdict {
-                    Verdict::Clean => self.links[li].arq_ack(f.seq),
-                    Verdict::Masked => {
-                        // The flip landed on a slice the short-flit
-                        // shutdown gated off: never transported, so the
-                        // flit arrives pristine.
-                        fr.counters.transient_faults += 1;
-                        fr.counters.masked += 1;
-                        self.links[li].arq_ack(f.seq);
-                    }
-                    Verdict::Escaped { word, mask } => {
-                        fr.counters.transient_faults += 1;
-                        fr.counters.escaped += 1;
-                        self.arena.get_mut(f.flit).data.flip_bits(word, mask);
-                        self.links[li].arq_ack(f.seq);
-                        if traced {
-                            self.sink.record(TraceEvent {
-                                cycle,
-                                router: dst,
-                                port,
-                                vc: f.vc,
-                                kind: TraceEventKind::FaultInject,
-                                packet: pid.0,
-                                detail: li as u32,
-                            });
-                        }
-                    }
-                    Verdict::Detected => {
-                        let stuck = fr.plan.stuck_gate(li).is_some_and(|(onset, healthy)| {
-                            cycle >= onset && active_words > healthy
-                        });
-                        if stuck {
-                            fr.counters.stuck_faults += 1;
-                        } else {
-                            fr.counters.transient_faults += 1;
-                        }
-                        fr.counters.detected += 1;
-                        if traced {
-                            self.sink.record(TraceEvent {
-                                cycle,
-                                router: dst,
-                                port,
-                                vc: f.vc,
-                                kind: TraceEventKind::FaultInject,
-                                packet: pid.0,
-                                detail: li as u32,
-                            });
-                        }
-                        // The popped copy is discarded (the pristine
-                        // window clone replays later); its slot dies here.
-                        self.arena.free(f.flit);
-                        let retries = self.links[li].arq_nack(cycle, &mut self.arena);
-                        let budget = fr.plan.config().max_retries;
-                        if budget > 0 && retries > budget {
-                            if let Some((pid, vcs)) = self.links[li].arq_drop_front_packet() {
-                                fr.counters.flits_dropped += vcs.len() as u64;
-                                for vc in vcs {
-                                    self.links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
-                                }
-                                self.sever(fr, pid, upstream, cycle);
-                                if fr.errors.len() < MAX_FAULT_ERRORS {
-                                    fr.errors.push(NocError::RetryExhausted {
-                                        node: upstream.0,
-                                        port: upstream.1,
-                                        packet: pid,
-                                    });
-                                }
-                            }
-                        }
-                        // The NACK purged the wire; nothing further is
-                        // due on this link this cycle.
-                        break 'deliver;
-                    }
-                }
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: dst,
-                        port,
-                        vc: f.vc,
-                        kind: TraceEventKind::BufferWrite,
-                        packet: pid.0,
-                        detail: 0,
-                    });
-                }
-                if self.arena.get(f.flit).is_head() {
-                    if let Some(j) = &mut self.journeys {
-                        j.on_link_arrival(pid, dst, port, cycle);
-                    }
-                }
-                let fraction =
-                    self.routers[dst.index()].receive_flit(port, f.vc, f.flit, &self.arena, cycle);
-                self.counters.record_buffer_write(fraction);
-                self.activity[dst.index()].buffer_events += fraction;
-            }
-            while let Some(c) = self.links[li].take_due_credit(cycle) {
-                let (src, port) = self.links[li].from;
-                if traced {
-                    self.sink.record(TraceEvent {
-                        cycle,
-                        router: src,
-                        port,
-                        vc: c.vc,
-                        kind: TraceEventKind::CreditReturn,
-                        packet: 0,
-                        detail: 0,
-                    });
-                }
-                self.routers[src.index()].receive_credit(port, c.vc);
-            }
-        }
-
-        // (d) Refresh the per-router pause flags: a link replaying its
-        // window admits no new grants. Dead links are never paused —
-        // upstream VCs already streaming must keep draining into the
-        // black hole to free themselves.
-        for li in 0..self.links.len() {
-            let (node, port) = self.links[li].from;
-            let paused = !fr.dead[li] && self.links[li].arq_resend_pending();
-            self.routers[node.index()].set_link_paused(port, paused);
         }
     }
 
@@ -1151,6 +633,192 @@ impl Network {
     /// conservation is broken.
     pub fn credit_overflows(&self) -> u64 {
         self.routers.iter().map(Router::credit_overflows).sum()
+    }
+}
+
+/// The fault-aware replacement for the link-delivery phase: fires due
+/// permanent kills, reaps severed-packet stubs out of router buffers,
+/// services scheduled retransmissions, applies the fault plan's verdict
+/// to every delivery, and keeps the per-router link-paused flags
+/// current. Accepted flits and due credits go through the same
+/// [`accept_flit`]/[`accept_credit`] as the fault-free body.
+fn fault_link_phase(
+    fr: &mut FaultRuntime,
+    routers: &mut [Router],
+    activity: &mut [RouterActivity],
+    links: &mut [Link],
+    out: &mut Sinks<'_>,
+    layer_shutdown: bool,
+) {
+    let (cycle, traced) = (out.cycle, out.traced);
+    // (a) Fire scheduled permanent kills. The forward wire dies (the
+    // reverse credit wire is modelled as surviving — credits are an
+    // abstraction of buffer state, not a physical channel here);
+    // every unacknowledged flit is lost, its packet severed, and its
+    // reserved downstream slot credited back so upstream streaming
+    // into the black hole does not wedge.
+    while fr.next_kill < fr.plan.kills().len() && fr.plan.kills()[fr.next_kill].cycle <= cycle {
+        let li = fr.plan.kills()[fr.next_kill].link;
+        fr.next_kill += 1;
+        if fr.dead[li] {
+            continue;
+        }
+        fr.dead[li] = true;
+        fr.counters.links_killed += 1;
+        let (node, port) = links[li].from;
+        for (pid, vc) in links[li].kill(out.arena) {
+            fr.counters.flits_dropped += 1;
+            links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
+            fr.sever(pid, (node, port), out);
+        }
+        routers[node.index()].on_port_death(port);
+        if traced {
+            out.sink.record(TraceEvent {
+                cycle,
+                router: node,
+                port,
+                vc: VcId(0),
+                kind: TraceEventKind::FaultInject,
+                packet: 0,
+                detail: li as u32,
+            });
+        }
+    }
+
+    // (b) Reap buffered stubs of severed packets (skipping VCs with
+    // a pending switch grant; they purge next cycle).
+    if !fr.severed.is_empty() {
+        for r in routers.iter_mut() {
+            fr.counters.flits_dropped += r.purge_severed(&fr.severed, cycle, out.arena, links);
+        }
+    }
+
+    // (c) Per link: execute due retransmissions, then deliver.
+    for (li, link) in links.iter_mut().enumerate() {
+        let resent = link.arq_service(cycle, out.arena);
+        if resent > 0 {
+            fr.counters.retransmissions += resent;
+            if traced {
+                let (node, port) = link.from;
+                out.sink.record(TraceEvent {
+                    cycle,
+                    router: node,
+                    port,
+                    vc: VcId(0),
+                    kind: TraceEventKind::Retransmit,
+                    packet: 0,
+                    detail: resent as u32,
+                });
+            }
+        }
+        'deliver: while let Some(f) = link.take_due_flit(cycle) {
+            let (dst, port) = link.to;
+            let upstream = link.from;
+            let pid = out.arena.get(f.flit).packet;
+            if fr.dead[li] || fr.severed.contains(&pid) {
+                // Black hole (the link died under the flit) or a
+                // stub of an already-dropped packet: swallow it,
+                // acknowledge so the window drains, and credit the
+                // reserved slot back.
+                link.arq_ack(f.seq);
+                fr.counters.flits_dropped += 1;
+                link.send_credit(f.vc, Link::delivery_cycle(cycle, 0));
+                out.arena.free(f.flit);
+                if fr.dead[li] {
+                    fr.sever(pid, upstream, out);
+                }
+                continue;
+            }
+            let (num_words, active_words) = {
+                let data = &out.arena.get(f.flit).data;
+                (data.num_words(), data.active_words())
+            };
+            let verdict =
+                fr.plan.verdict(li, f.seq, cycle, num_words, active_words, layer_shutdown);
+            let fault_event = TraceEvent {
+                cycle,
+                router: dst,
+                port,
+                vc: f.vc,
+                kind: TraceEventKind::FaultInject,
+                packet: pid.0,
+                detail: li as u32,
+            };
+            match verdict {
+                Verdict::Clean => link.arq_ack(f.seq),
+                Verdict::Masked => {
+                    // The flip landed on a slice the short-flit
+                    // shutdown gated off: never transported, so the
+                    // flit arrives pristine.
+                    fr.counters.transient_faults += 1;
+                    fr.counters.masked += 1;
+                    link.arq_ack(f.seq);
+                }
+                Verdict::Escaped { word, mask } => {
+                    fr.counters.transient_faults += 1;
+                    fr.counters.escaped += 1;
+                    out.arena.get_mut(f.flit).data.flip_bits(word, mask);
+                    link.arq_ack(f.seq);
+                    if traced {
+                        out.sink.record(fault_event);
+                    }
+                }
+                Verdict::Detected => {
+                    let stuck = fr
+                        .plan
+                        .stuck_gate(li)
+                        .is_some_and(|(onset, healthy)| cycle >= onset && active_words > healthy);
+                    if stuck {
+                        fr.counters.stuck_faults += 1;
+                    } else {
+                        fr.counters.transient_faults += 1;
+                    }
+                    fr.counters.detected += 1;
+                    if traced {
+                        out.sink.record(fault_event);
+                    }
+                    // The popped copy is discarded (the pristine
+                    // window clone replays later); its slot dies here.
+                    out.arena.free(f.flit);
+                    let retries = link.arq_nack(cycle, out.arena);
+                    let budget = fr.plan.config().max_retries;
+                    if budget > 0 && retries > budget {
+                        if let Some((pid, vcs)) = link.arq_drop_front_packet() {
+                            fr.counters.flits_dropped += vcs.len() as u64;
+                            for vc in vcs {
+                                link.send_credit(vc, Link::delivery_cycle(cycle, 0));
+                            }
+                            fr.sever(pid, upstream, out);
+                            if fr.errors.len() < MAX_FAULT_ERRORS {
+                                fr.errors.push(NocError::RetryExhausted {
+                                    node: upstream.0,
+                                    port: upstream.1,
+                                    packet: pid,
+                                });
+                            }
+                        }
+                    }
+                    // The NACK purged the wire; nothing further is
+                    // due on this link this cycle.
+                    break 'deliver;
+                }
+            }
+            let d = dst.index();
+            accept_flit(out, &mut routers[d], &mut activity[d], li as u32, port, &f, cycle);
+        }
+        while let Some(c) = link.take_due_credit(cycle) {
+            let (src, port) = link.from;
+            accept_credit(out, &mut routers[src.index()], li as u32, port, c.vc);
+        }
+    }
+
+    // (d) Refresh the per-router pause flags: a link replaying its
+    // window admits no new grants. Dead links are never paused —
+    // upstream VCs already streaming must keep draining into the
+    // black hole to free themselves.
+    for (li, l) in links.iter().enumerate() {
+        let (node, port) = l.from;
+        routers[node.index()].set_link_paused(port, !fr.dead[li] && l.arq_resend_pending());
     }
 }
 

@@ -51,7 +51,7 @@ use crate::ids::{NodeId, PortId, VcId};
 use crate::link::Link;
 use crate::packet::PacketId;
 use crate::routing::apply_fault_mask;
-use crate::shard::StepFx;
+use crate::shard::{Effect, StepFx};
 use crate::stats::RouterActivity;
 use crate::telemetry::{RouterTelemetry, StallCause, StallCounters, TraceEvent, TraceEventKind};
 use crate::topology::Topology;
@@ -303,12 +303,13 @@ impl Router {
         self.on_flit_buffered(pv);
     }
 
-    /// Accepts the flit at `fref` into the input buffer at (`port`, `vc`),
-    /// returning the active-layer fraction of the buffer write. The
-    /// caller owns the global accounting (`record_buffer_write` and the
-    /// per-router `buffer_events` fraction) — under sharded stepping the
-    /// buffer push happens on the owning worker while the f64 counter
-    /// addition replays on the main thread in canonical order.
+    /// Accepts the flit at `fref` (whose contents are `flit`) into the
+    /// input buffer at (`port`, `vc`), returning the active-layer
+    /// fraction of the buffer write. The caller owns the global
+    /// accounting (`record_buffer_write` and the per-router
+    /// `buffer_events` fraction) — with N shards the buffer push happens
+    /// on the owning worker while the f64 counter addition replays on
+    /// the calling thread in canonical order.
     ///
     /// # Panics
     ///
@@ -318,10 +319,9 @@ impl Router {
         port: PortId,
         vc: VcId,
         fref: FlitRef,
-        arena: &FlitArena,
+        flit: &Flit,
         cycle: u64,
     ) -> f64 {
-        let flit = arena.get(fref);
         let fraction = self.layer_fraction(flit);
         let slot = BufSlot {
             fref,
@@ -660,11 +660,10 @@ impl Router {
     ///
     /// Every mutation of shared (cross-router) state goes through the
     /// [`StepFx`] seam: [`crate::shard::DirectFx`] applies it inline
-    /// (sequential path, byte-identical to the pre-shard code) while
-    /// [`crate::shard::DeferredFx`] applies the shard-owned effects in
-    /// place and logs the rest for ordered replay (sharded path).
-    /// Monomorphisation keeps the sequential path free of virtual-call
-    /// overhead.
+    /// (one shard, or a fault run) while [`crate::shard::DeferredFx`]
+    /// applies the shard-owned effects in place and logs the rest for
+    /// ordered replay (N shards). Monomorphisation keeps the inline path
+    /// free of virtual-call overhead.
     pub(crate) fn step<F: StepFx>(
         &mut self,
         cycle: u64,
@@ -709,8 +708,8 @@ impl Router {
             let g = self.st_grants[gi];
             let pv = self.pv(g.in_port, g.in_vc);
             let slot = self.buf.pop(pv).expect("SA granted an empty VC");
-            if slot.head {
-                fx.journey_st(slot.packet, g.out_port, cycle);
+            if slot.head && fx.journeys_on() {
+                fx.commit(Effect::JourneySt { packet: slot.packet, out_port: g.out_port });
             }
             // The only payload touch on the traversal path: one arena
             // read for the activity fractions.
@@ -725,7 +724,7 @@ impl Router {
                     (1.0, self.layers)
                 }
             };
-            fx.st_read(fraction);
+            fx.commit(Effect::StRead { fraction });
             activity.buffer_events += fraction;
             activity.xbar_events += fraction;
             activity.xbar_events_raw += 1;
@@ -739,7 +738,7 @@ impl Router {
             }
             self.layer_events += 1;
             if traced {
-                fx.trace(TraceEvent {
+                fx.commit(Effect::Trace(TraceEvent {
                     cycle,
                     router: self.id,
                     port: g.in_port,
@@ -747,9 +746,9 @@ impl Router {
                     kind: TraceEventKind::SwitchTraversal,
                     packet: slot.packet.0,
                     detail: g.out_port.index() as u32,
-                });
+                }));
                 if active_layers < self.layers {
-                    fx.trace(TraceEvent {
+                    fx.commit(Effect::Trace(TraceEvent {
                         cycle,
                         router: self.id,
                         port: g.out_port,
@@ -757,7 +756,7 @@ impl Router {
                         kind: TraceEventKind::LayerGate,
                         packet: slot.packet.0,
                         detail: (self.layers - active_layers) as u32,
-                    });
+                    }));
                 }
             }
 
@@ -767,7 +766,7 @@ impl Router {
             }
 
             if g.out_port.is_local() {
-                fx.eject(slot.fref, self.id, cycle, slot.tail);
+                fx.commit(Effect::Eject { fref: slot.fref, node: self.id, tail: slot.tail });
             } else {
                 let li = self.out_links[g.out_port.index()]
                     .expect("route led through a port with no link");
@@ -783,6 +782,18 @@ impl Router {
             }
         }
         self.st_grants.clear();
+    }
+
+    /// Charges one stall of `cause` to VC `pv` and, when journeys are
+    /// on, to the journey of the flit at its front.
+    fn stall<F: StepFx>(&mut self, fx: &mut F, pv: usize, cause: StallCause) {
+        self.stalls.record(cause);
+        if fx.journeys_on() {
+            if let Some(t) = self.buf.front(pv) {
+                let (packet, head) = (t.packet, t.head);
+                fx.commit(Effect::JourneyStall { packet, router: self.id, cause, head });
+            }
+        }
     }
 
     /// SA: separable two-stage switch allocation; winners traverse next
@@ -828,29 +839,19 @@ impl Router {
                 if !out_port.is_local() && self.link_paused[out_port.index()] {
                     // The outgoing link is replaying its window; new
                     // traffic would interleave into the resent stream.
-                    self.stalls.record(StallCause::LinkFault);
-                    if fx.journeys_on() {
-                        if let Some(t) = self.buf.front(pv) {
-                            fx.journey_stall(t.packet, self.id, StallCause::LinkFault, t.head);
-                        }
-                    }
+                    self.stall(fx, pv, StallCause::LinkFault);
                     continue;
                 }
                 if out_port.is_local() || self.out_credits[self.pv(out_port, out_vc)] > 0 {
                     elig_mask |= 1u64 << iv;
                 } else {
-                    self.stalls.record(StallCause::NoCredit);
-                    if fx.journeys_on() {
-                        if let Some(t) = self.buf.front(pv) {
-                            fx.journey_stall(t.packet, self.id, StallCause::NoCredit, t.head);
-                        }
-                    }
+                    self.stall(fx, pv, StallCause::NoCredit);
                 }
             }
             if elig_mask == 0 {
                 continue;
             }
-            fx.count_sa1();
+            fx.tallies().sa1 += 1;
             if let Some(iv) = self.sa1_arbiters[ip].arbitrate_mask(elig_mask) {
                 if let VcState::Active { out_port, out_vc } = self.vc_state[ip * self.vcs + iv] {
                     scratch.sa1[ip] = Some((VcId(iv), out_port, out_vc));
@@ -871,7 +872,7 @@ impl Router {
         while sa2_used != 0 {
             let op = sa2_used.trailing_zeros() as usize;
             sa2_used &= sa2_used - 1;
-            fx.count_sa2();
+            fx.tallies().sa2 += 1;
             if let Some(ip) = self.sa2_arbiters[op].arbitrate_mask(scratch.sa2_req[op]) {
                 let (iv, out_port, out_vc) = scratch.sa1[ip].expect("requester has an SA1 grant");
                 if !out_port.is_local() {
@@ -882,7 +883,7 @@ impl Router {
                 if traced {
                     let packet =
                         self.buf.front(ip * self.vcs + iv.index()).map_or(0, |t| t.packet.0);
-                    fx.trace(TraceEvent {
+                    fx.commit(Effect::Trace(TraceEvent {
                         cycle,
                         router: self.id,
                         port: PortId(ip),
@@ -890,7 +891,7 @@ impl Router {
                         kind: TraceEventKind::SwitchAlloc,
                         packet,
                         detail: out_port.index() as u32,
-                    });
+                    }));
                 }
                 scratch.granted.push((ip, iv.index()));
                 self.st_grants.push(StGrant { in_port: PortId(ip), in_vc: iv, out_port, out_vc });
@@ -902,12 +903,7 @@ impl Router {
         // arbitration this cycle.
         for &pair in &scratch.eligible_all {
             if !scratch.granted.contains(&pair) {
-                self.stalls.record(StallCause::SaLoss);
-                if fx.journeys_on() {
-                    if let Some(t) = self.buf.front(pair.0 * self.vcs + pair.1) {
-                        fx.journey_stall(t.packet, self.id, StallCause::SaLoss, t.head);
-                    }
-                }
+                self.stall(fx, pair.0 * self.vcs + pair.1, StallCause::SaLoss);
             }
         }
     }
@@ -942,7 +938,7 @@ impl Router {
             }
             let class = self.buf.front(pv).expect("waiting VC holds a head flit").class;
             let out_vc = class.vc_index().min(self.vcs - 1);
-            fx.count_va1();
+            fx.tallies().va1 += 1;
             let b = out_port.index() * self.vcs + out_vc;
             scratch.va_requests[b].push((PortId(pv / self.vcs), VcId(pv % self.vcs)));
             scratch.va_line_masks[b] |= 1u64 << pv;
@@ -955,19 +951,13 @@ impl Router {
             let b = va2_used.trailing_zeros() as usize;
             va2_used &= va2_used - 1;
             let (op, ov) = (b / self.vcs, b % self.vcs);
-            fx.count_va2();
+            fx.tallies().va2 += 1;
             if self.out_owner[b].is_some() {
                 // The target VC is held by an in-flight packet: every
                 // requester stalls on route occupancy this cycle.
                 for ri in 0..scratch.va_requests[b].len() {
                     let (rip, riv) = scratch.va_requests[b][ri];
-                    self.stalls.record(StallCause::RouteBusy);
-                    if fx.journeys_on() {
-                        let front = self.buf.front(rip.index() * self.vcs + riv.index());
-                        if let Some(t) = front {
-                            fx.journey_stall(t.packet, self.id, StallCause::RouteBusy, true);
-                        }
-                    }
+                    self.stall(fx, self.pv(rip, riv), StallCause::RouteBusy);
                 }
                 scratch.va_requests[b].clear();
                 scratch.va_line_masks[b] = 0;
@@ -979,7 +969,7 @@ impl Router {
                 self.set_state(line, VcState::Active { out_port: PortId(op), out_vc: VcId(ov) });
                 if traced {
                     let packet = self.buf.front(line).map_or(0, |t| t.packet.0);
-                    fx.trace(TraceEvent {
+                    fx.commit(Effect::Trace(TraceEvent {
                         cycle,
                         router: self.id,
                         port: ip,
@@ -987,19 +977,13 @@ impl Router {
                         kind: TraceEventKind::VcAlloc,
                         packet,
                         detail: op as u32,
-                    });
+                    }));
                 }
                 // The remaining requesters lost the arbitration.
                 for ri in 0..scratch.va_requests[b].len() {
                     let (rip, riv) = scratch.va_requests[b][ri];
                     if (rip, riv) != (ip, iv) {
-                        self.stalls.record(StallCause::VaLoss);
-                        if fx.journeys_on() {
-                            let front = self.buf.front(rip.index() * self.vcs + riv.index());
-                            if let Some(t) = front {
-                                fx.journey_stall(t.packet, self.id, StallCause::VaLoss, true);
-                            }
-                        }
+                        self.stall(fx, self.pv(rip, riv), StallCause::VaLoss);
                     }
                 }
             }
@@ -1085,10 +1069,10 @@ impl Router {
                         .max_by_key(|&p| credits_of(p))
                         .expect("non-empty candidates")
                 };
-                fx.count_rc();
+                fx.tallies().rc += 1;
                 self.set_state(pv, VcState::WaitingVc { out_port });
                 if traced {
-                    fx.trace(TraceEvent {
+                    fx.commit(Effect::Trace(TraceEvent {
                         cycle,
                         router: self.id,
                         port: PortId(ip),
@@ -1096,7 +1080,7 @@ impl Router {
                         kind: TraceEventKind::RouteCompute,
                         packet,
                         detail: out_port.index() as u32,
-                    });
+                    }));
                 }
             }
         }
@@ -1109,6 +1093,7 @@ mod tests {
     use crate::config::NetworkConfig;
     use crate::flit::{FlitData, FlitKind};
     use crate::packet::{PacketClass, PacketId};
+    use crate::shard::{DirectFx, PipelineTallies, Sinks};
     use crate::stats::ActivityCounters;
     use crate::telemetry::NullSink;
     use crate::topology::Mesh2D;
@@ -1158,22 +1143,25 @@ mod tests {
 
         fn recv(&mut self, r: &mut Router, port: PortId, vc: VcId, flit: Flit, cycle: u64) {
             let fref = self.arena.alloc(flit);
-            let fraction = r.receive_flit(port, vc, fref, &self.arena, cycle);
+            let fraction = r.receive_flit(port, vc, fref, self.arena.get(fref), cycle);
             self.counters.record_buffer_write(fraction);
             self.activity.buffer_events += fraction;
         }
 
         fn step(&mut self, r: &mut Router, cycle: u64) {
             let mut sink = NullSink;
-            let mut fx = crate::shard::DirectFx {
-                arena: &mut self.arena,
-                links: &mut self.links,
-                counters: &mut self.counters,
-                ejected: &mut self.ejected,
-                sink: &mut sink,
-                journeys: None,
-            };
+            let sinks = Sinks::new(
+                cycle,
+                &mut self.counters,
+                &mut self.arena,
+                &mut self.ejected,
+                &mut sink,
+                None,
+            );
+            let mut t = PipelineTallies::default();
+            let mut fx = DirectFx { sinks, links: &mut self.links, t: &mut t };
             r.step(cycle, &self.topo, &mut self.scratch, &mut self.activity, &mut fx);
+            t.merge_into(&mut self.counters);
         }
     }
 
@@ -1403,6 +1391,7 @@ mod pipeline_depth_tests {
     use crate::config::{NetworkConfig, PipelineConfig, PipelineDepth};
     use crate::flit::{FlitData, FlitKind};
     use crate::packet::{PacketClass, PacketId};
+    use crate::shard::{DirectFx, PipelineTallies, Sinks};
     use crate::stats::ActivityCounters;
     use crate::telemetry::NullSink;
     use crate::topology::Mesh2D;
@@ -1430,19 +1419,14 @@ mod pipeline_depth_tests {
             hops: 0,
         };
         let fref = arena.alloc(flit);
-        let fraction = r.receive_flit(PortId::LOCAL, VcId(0), fref, &arena, 0);
+        let fraction = r.receive_flit(PortId::LOCAL, VcId(0), fref, arena.get(fref), 0);
         counters.record_buffer_write(fraction);
         activity.buffer_events += fraction;
+        let mut t = PipelineTallies::default();
         for cycle in 0..10 {
             let mut sink = NullSink;
-            let mut fx = crate::shard::DirectFx {
-                arena: &mut arena,
-                links: &mut links,
-                counters: &mut counters,
-                ejected: &mut ejected,
-                sink: &mut sink,
-                journeys: None,
-            };
+            let sinks = Sinks::new(cycle, &mut counters, &mut arena, &mut ejected, &mut sink, None);
+            let mut fx = DirectFx { sinks, links: &mut links, t: &mut t };
             r.step(cycle, &topo, &mut scratch, &mut activity, &mut fx);
             if let Some(e) = ejected.first() {
                 return e.cycle;

@@ -1,35 +1,40 @@
-//! Intra-run sharded stepping (DESIGN.md §18): parallel cycle execution
-//! of a single mesh, bit-identical at any worker count.
+//! The cycle engine's shard layer (DESIGN.md §18): every phase body of
+//! `Network::step`, run on one shard or split across N, bit-identical at
+//! any count.
 //!
-//! The mesh is partitioned into contiguous spatial tiles of routers
-//! (shard 0 runs on the calling thread, shards 1..N on a persistent
-//! [`WorkerPool`]). Within one `Network::step`, each barrier-separated
-//! phase runs every effect a shard can own on that shard's worker —
-//! buffer pushes, credit returns, link sends, hop counts — and defers
-//! only the *globally ordered* remainder into a per-shard log that the
-//! main thread replays in canonical (router- or link-ascending) order:
-//! the non-associative f64 activity-counter sums, the arena free list
-//! (ejections), and trace/journey records. Commutative `u64` counters
-//! are summed from per-shard [`PipelineTallies`] instead. The result is
-//! byte-identical to the sequential path at every seam: the same f64
-//! additions in the same order, the same trace/journey event sequence,
-//! the same arena free-list history, the same wire contents.
+//! The mesh is partitioned into contiguous spatial tiles of routers.
+//! With one shard each phase body runs on the calling thread and applies
+//! its order-sensitive effects in place. With N shards, shard 0 runs on
+//! the calling thread and shards 1..N on a persistent [`WorkerPool`];
+//! each barrier-separated phase runs every effect a shard can own on
+//! that shard's worker — buffer pushes, credit returns, link sends, hop
+//! counts — and logs only the *globally ordered* remainder as [`Effect`]
+//! entries, which the calling thread replays in canonical (link- or
+//! router-ascending) order: the non-associative f64 activity-counter
+//! sums, the arena free list (ejections), and trace/journey records.
+//! Commutative `u64` counters are summed from per-shard
+//! [`PipelineTallies`] instead. Either way each effect lands through the
+//! one [`Sinks::apply`], so the result is byte-identical at every seam:
+//! the same f64 additions in the same order, the same trace/journey
+//! event sequence, the same arena free-list history, the same wire
+//! contents.
 //!
 //! Ownership goes by *wire*, not by link ([`ShardPlan`]): a link's flit
 //! wire is pushed by its sender's shard in the pipeline phase and popped
 //! by its receiver's shard in the link phase; its credit wire the other
-//! way round. Every worker body lives in this module, so the raw-pointer
+//! way round. Every phase body lives in this module, so the raw-pointer
 //! sharing it rests on is audited in one place.
 //!
-//! The seam itself is the [`StepFx`] trait: `Router::step` reports
-//! every cross-router effect through it. [`DirectFx`] (the sequential
-//! path) applies each effect immediately, reproducing the pre-shard
-//! code exactly; [`DeferredFx`] (shard workers) applies the shard-owned
-//! effects in place and logs the rest into its shard's effect log.
+//! Two seams carry the effects. [`Commit`] is where a phase body's
+//! ordered remainder goes: [`Sinks`] applies it at once, [`ShardLog`]
+//! logs it. [`StepFx`] extends it with the shard-local effects of
+//! `Router::step`: [`DirectFx`] applies everything inline, [`DeferredFx`]
+//! applies the shard-owned effects in place and logs the rest.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,11 +44,12 @@ use crate::arena::{FlitArena, FlitRef};
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::{Link, LinkWires};
-use crate::network::Nic;
+use crate::link::{FlitInFlight, Link, LinkWires};
+use crate::network::{FaultRuntime, Nic};
+use crate::packet::PacketId;
 use crate::router::{EjectedFlit, Router, StepScratch};
 use crate::stats::{ActivityCounters, RouterActivity};
-use crate::telemetry::{EventSink, StallCause, TraceEvent};
+use crate::telemetry::{EventSink, StallCause, TraceEvent, TraceEventKind};
 use crate::topology::Topology;
 
 /// Hard cap on shard count (stack-allocated replay cursors; far above
@@ -51,9 +57,9 @@ use crate::topology::Topology;
 pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Commutative `u64` pipeline counters accumulated per shard and summed
-/// into the global [`ActivityCounters`] after the barrier (integer
-/// addition is order-free, so summing per-shard partials is
-/// bit-identical to sequential accumulation).
+/// into the global [`ActivityCounters`] after the pipeline phase
+/// (integer addition is order-free, so summing per-shard partials is
+/// bit-identical to accumulating in place).
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PipelineTallies {
     pub rc: u64,
@@ -74,75 +80,213 @@ impl PipelineTallies {
     }
 }
 
+/// One order-sensitive effect. What it does to the ordered sinks is
+/// [`Sinks::apply`]; a shard worker logs it instead, for the calling
+/// thread to replay in canonical order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Effect {
+    /// A flit delivered off link `li` into `router`'s input `port`: its
+    /// `BufferWrite` event, journey arrival and buffer-write sum.
+    Arrival {
+        li: u32,
+        head: bool,
+        router: NodeId,
+        port: PortId,
+        vc: VcId,
+        packet: PacketId,
+        fraction: f64,
+    },
+    /// A credit delivered off link `li` to `router`'s output `port`,
+    /// committed only when traced, for its `CreditReturn` event.
+    Credit { li: u32, router: NodeId, port: PortId, vc: VcId },
+    /// A flit the NIC moved into `node`'s local input buffer.
+    Inject { node: NodeId, vc: VcId, packet: PacketId, head: bool, fraction: f64 },
+    /// ST's buffer read and crossbar traversal.
+    StRead { fraction: f64 },
+    /// A forward's link energy (`record_link` operands).
+    Link { length_mm: f64, fraction: f64 },
+    /// A flit leaving the network at `node` (frees its arena slot).
+    Eject { fref: FlitRef, node: NodeId, tail: bool },
+    /// Journey: a head flit won the switch toward `out_port`.
+    JourneySt { packet: PacketId, out_port: PortId },
+    /// Journey: the flit at a VC's front stalled for `cause`.
+    JourneyStall { packet: PacketId, router: NodeId, cause: StallCause, head: bool },
+    /// A pipeline trace event.
+    Trace(TraceEvent),
+}
+
+impl Effect {
+    /// The link-phase replay key: link id, then flits before credits —
+    /// the order the one-shard body visits the wires in.
+    fn link_key(&self) -> (u32, bool) {
+        match *self {
+            Effect::Arrival { li, .. } => (li, false),
+            Effect::Credit { li, .. } => (li, true),
+            _ => unreachable!("the link phase logs only arrivals and credits"),
+        }
+    }
+}
+
+/// Where a phase body's order-sensitive remainder goes: applied at once
+/// ([`Sinks`], [`DirectFx`]) or logged for an ordered replay
+/// ([`ShardLog`], [`DeferredFx`]).
+pub(crate) trait Commit {
+    /// `true` when the event sink wants trace events.
+    fn traced(&self) -> bool;
+    /// The flit at `fref`.
+    fn flit(&self, fref: FlitRef) -> &Flit;
+    /// Applies or logs one ordered effect.
+    fn commit(&mut self, e: Effect);
+    /// NIC injection: when the fault layer severed the packet of the
+    /// queued flit at `fref`, frees its slot, counts the drop and returns
+    /// `true`. Only a fault run's inline sinks ever drop.
+    fn drop_severed(&mut self, _fref: FlitRef) -> bool {
+        false
+    }
+}
+
 /// The effect seam of `Router::step`: every mutation of *shared* state
 /// (arena, links, global counters, sink, journeys, ejection queue) goes
 /// through these methods. Router-local state (VC pipeline, arbiter
 /// state, stall counters, per-router activity) stays direct — it is
 /// shard-owned either way.
-pub(crate) trait StepFx {
-    /// `true` when the event sink wants trace events.
-    fn traced(&self) -> bool;
+pub(crate) trait StepFx: Commit {
     /// `true` when a journey recorder is attached.
     fn journeys_on(&self) -> bool;
-    /// The buffered flit at `fref` (the ST payload touch).
-    fn flit(&self, fref: FlitRef) -> &Flit;
     /// Length of link `li` in millimetres (read-only link access).
     fn link_length_mm(&self, li: usize) -> f64;
-    /// Emits a trace event.
-    fn trace(&mut self, ev: TraceEvent);
-    /// Journey: head flit won the switch toward `out_port`.
-    fn journey_st(&mut self, packet: crate::packet::PacketId, out_port: PortId, cycle: u64);
-    /// Journey: flit stalled at `router` for `cause`.
-    fn journey_stall(
-        &mut self,
-        packet: crate::packet::PacketId,
-        router: NodeId,
-        cause: StallCause,
-        head: bool,
-    );
-    /// ST's buffer read + crossbar traversal (layer-weighted f64s —
-    /// replay order matters).
-    fn st_read(&mut self, fraction: f64);
-    /// RC computation performed (u64 — commutative).
-    fn count_rc(&mut self);
-    /// VA1 arbitration performed.
-    fn count_va1(&mut self);
-    /// VA2 arbitration performed.
-    fn count_va2(&mut self);
-    /// SA1 arbitration performed.
-    fn count_sa1(&mut self);
-    /// SA2 arbitration performed.
-    fn count_sa2(&mut self);
+    /// The commutative `u64` stage tallies (RC, VA and SA operations),
+    /// merged into the counters after the phase.
+    fn tallies(&mut self) -> &mut PipelineTallies;
     /// Returns a credit upstream on link `li`.
     fn send_credit(&mut self, li: usize, vc: VcId, at: u64);
-    /// Ejects the flit at `fref` at `node` (frees its arena slot).
-    fn eject(&mut self, fref: FlitRef, node: NodeId, cycle: u64, tail: bool);
     /// Forwards the flit at `fref` onto link `li` (hop count, link
     /// energy, wire send).
     fn forward(&mut self, li: usize, fref: FlitRef, vc: VcId, at: u64, fraction: f64);
 }
 
-/// Immediate-application [`StepFx`]: the sequential path. Reproduces
-/// the pre-shard `Router::step` side-effect order exactly — the golden
-/// bit suites pin this.
-pub(crate) struct DirectFx<'a> {
-    pub arena: &'a mut FlitArena,
-    pub links: &'a mut [Link],
+/// The ordered sinks of one cycle: the activity counters, the ejection
+/// queue with the arena free list, the trace sink and the journeys —
+/// plus, during a fault run's NIC injection, the fault layer's severed
+/// set. Every ordered effect lands here through [`Sinks::apply`]: at
+/// once on the inline path, in canonical order on the replay.
+pub(crate) struct Sinks<'a> {
     pub counters: &'a mut ActivityCounters,
+    pub arena: &'a mut FlitArena,
     pub ejected: &'a mut Vec<EjectedFlit>,
     pub sink: &'a mut dyn EventSink,
     pub journeys: Option<&'a mut JourneyRecorder>,
+    pub faults: Option<&'a mut FaultRuntime>,
+    pub cycle: u64,
+    /// `sink.enabled()`, read once per cycle.
+    pub traced: bool,
 }
 
-impl StepFx for DirectFx<'_> {
-    #[inline]
-    fn traced(&self) -> bool {
-        self.sink.enabled()
+impl<'a> Sinks<'a> {
+    pub(crate) fn new(
+        cycle: u64,
+        counters: &'a mut ActivityCounters,
+        arena: &'a mut FlitArena,
+        ejected: &'a mut Vec<EjectedFlit>,
+        sink: &'a mut dyn EventSink,
+        journeys: Option<&'a mut JourneyRecorder>,
+    ) -> Self {
+        let traced = sink.enabled();
+        Sinks { counters, arena, ejected, sink, journeys, faults: None, cycle, traced }
     }
 
+    /// The same sinks, borrowed for one phase's [`DirectFx`].
+    fn reborrow(&mut self) -> Sinks<'_> {
+        Sinks {
+            counters: &mut *self.counters,
+            arena: &mut *self.arena,
+            ejected: &mut *self.ejected,
+            sink: &mut *self.sink,
+            journeys: self.journeys.as_deref_mut(),
+            faults: self.faults.as_deref_mut(),
+            cycle: self.cycle,
+            traced: self.traced,
+        }
+    }
+
+    /// Applies `e` to the ordered sinks — the one definition of what
+    /// each effect does, for the inline path and the replay alike.
+    #[inline(always)]
+    pub(crate) fn apply(&mut self, e: Effect) {
+        let cycle = self.cycle;
+        let buffer_write = |router, port, vc, packet: PacketId| TraceEvent {
+            cycle,
+            router,
+            port,
+            vc,
+            kind: TraceEventKind::BufferWrite,
+            packet: packet.0,
+            detail: 0,
+        };
+        match e {
+            Effect::Arrival { head, router, port, vc, packet, fraction, .. } => {
+                if self.traced {
+                    self.sink.record(buffer_write(router, port, vc, packet));
+                }
+                if head {
+                    if let Some(j) = self.journeys.as_deref_mut() {
+                        j.on_link_arrival(packet, router, port, cycle);
+                    }
+                }
+                self.counters.record_buffer_write(fraction);
+            }
+            Effect::Credit { router, port, vc, .. } => self.sink.record(TraceEvent {
+                cycle,
+                router,
+                port,
+                vc,
+                kind: TraceEventKind::CreditReturn,
+                packet: 0,
+                detail: 0,
+            }),
+            Effect::Inject { node, vc, packet, head, fraction } => {
+                self.counters.flits_injected += 1;
+                if head {
+                    if let Some(j) = self.journeys.as_deref_mut() {
+                        j.on_nic_inject(packet, node, cycle);
+                    }
+                }
+                if self.traced {
+                    self.sink.record(buffer_write(node, PortId::LOCAL, vc, packet));
+                }
+                self.counters.record_buffer_write(fraction);
+            }
+            Effect::StRead { fraction } => {
+                self.counters.record_buffer_read(fraction);
+                self.counters.record_xbar(fraction);
+            }
+            Effect::Link { length_mm, fraction } => self.counters.record_link(length_mm, fraction),
+            Effect::Eject { fref, node, tail } => {
+                self.counters.flits_ejected += 1;
+                if tail {
+                    self.counters.packets_ejected += 1;
+                }
+                self.ejected.push(EjectedFlit { flit: self.arena.take(fref), node, cycle });
+            }
+            Effect::JourneySt { packet, out_port } => {
+                if let Some(j) = self.journeys.as_deref_mut() {
+                    j.on_st(packet, out_port, cycle);
+                }
+            }
+            Effect::JourneyStall { packet, router, cause, head } => {
+                if let Some(j) = self.journeys.as_deref_mut() {
+                    j.on_stall(packet, router, cause, head);
+                }
+            }
+            Effect::Trace(ev) => self.sink.record(ev),
+        }
+    }
+}
+
+impl Commit for Sinks<'_> {
     #[inline]
-    fn journeys_on(&self) -> bool {
-        self.journeys.is_some()
+    fn traced(&self) -> bool {
+        self.traced
     }
 
     #[inline]
@@ -151,64 +295,59 @@ impl StepFx for DirectFx<'_> {
     }
 
     #[inline]
+    fn commit(&mut self, e: Effect) {
+        self.apply(e);
+    }
+
+    #[inline]
+    fn drop_severed(&mut self, fref: FlitRef) -> bool {
+        match self.faults.as_deref_mut() {
+            Some(fr) => fr.swallow_severed(fref, self.arena),
+            None => false,
+        }
+    }
+}
+
+/// Immediate-application [`StepFx`]: the pipeline phase of a one-shard
+/// engine and of every fault run. It owns its [`Sinks`] (reborrowed for
+/// the phase), so the counters are one pointer away.
+pub(crate) struct DirectFx<'a> {
+    pub sinks: Sinks<'a>,
+    pub links: &'a mut [Link],
+    pub t: &'a mut PipelineTallies,
+}
+
+impl Commit for DirectFx<'_> {
+    #[inline]
+    fn traced(&self) -> bool {
+        self.sinks.traced
+    }
+
+    #[inline]
+    fn flit(&self, fref: FlitRef) -> &Flit {
+        self.sinks.arena.get(fref)
+    }
+
+    #[inline]
+    fn commit(&mut self, e: Effect) {
+        self.sinks.apply(e);
+    }
+}
+
+impl StepFx for DirectFx<'_> {
+    #[inline]
+    fn journeys_on(&self) -> bool {
+        self.sinks.journeys.is_some()
+    }
+
+    #[inline]
     fn link_length_mm(&self, li: usize) -> f64 {
         self.links[li].length_mm
     }
 
     #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        self.sink.record(ev);
-    }
-
-    #[inline]
-    fn journey_st(&mut self, packet: crate::packet::PacketId, out_port: PortId, cycle: u64) {
-        if let Some(rec) = self.journeys.as_deref_mut() {
-            rec.on_st(packet, out_port, cycle);
-        }
-    }
-
-    #[inline]
-    fn journey_stall(
-        &mut self,
-        packet: crate::packet::PacketId,
-        router: NodeId,
-        cause: StallCause,
-        head: bool,
-    ) {
-        if let Some(rec) = self.journeys.as_deref_mut() {
-            rec.on_stall(packet, router, cause, head);
-        }
-    }
-
-    #[inline]
-    fn st_read(&mut self, fraction: f64) {
-        self.counters.record_buffer_read(fraction);
-        self.counters.record_xbar(fraction);
-    }
-
-    #[inline]
-    fn count_rc(&mut self) {
-        self.counters.rc_computations += 1;
-    }
-
-    #[inline]
-    fn count_va1(&mut self) {
-        self.counters.va1_arbitrations += 1;
-    }
-
-    #[inline]
-    fn count_va2(&mut self) {
-        self.counters.va2_arbitrations += 1;
-    }
-
-    #[inline]
-    fn count_sa1(&mut self) {
-        self.counters.sa1_arbitrations += 1;
-    }
-
-    #[inline]
-    fn count_sa2(&mut self) {
-        self.counters.sa2_arbitrations += 1;
+    fn tallies(&mut self) -> &mut PipelineTallies {
+        self.t
     }
 
     #[inline]
@@ -217,34 +356,37 @@ impl StepFx for DirectFx<'_> {
     }
 
     #[inline]
-    fn eject(&mut self, fref: FlitRef, node: NodeId, cycle: u64, tail: bool) {
-        self.counters.flits_ejected += 1;
-        if tail {
-            self.counters.packets_ejected += 1;
-        }
-        self.ejected.push(EjectedFlit { flit: self.arena.take(fref), node, cycle });
-    }
-
-    #[inline]
     fn forward(&mut self, li: usize, fref: FlitRef, vc: VcId, at: u64, fraction: f64) {
-        self.arena.get_mut(fref).hops += 1;
-        self.counters.record_link(self.links[li].length_mm, fraction);
-        self.links[li].send_flit(self.arena, fref, vc, at);
+        self.sinks.arena.get_mut(fref).hops += 1;
+        self.sinks.apply(Effect::Link { length_mm: self.links[li].length_mm, fraction });
+        self.links[li].send_flit(self.sinks.arena, fref, vc, at);
     }
 }
 
-/// One order-sensitive pipeline effect, replayed by the main thread in
-/// shard (= router-ascending) order. Wire sends and hop counts already
-/// happened on the worker, so a forward leaves only its `record_link`
-/// operands.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Effect {
-    StRead { fraction: f64 },
-    Link { length_mm: f64, fraction: f64 },
-    Eject { fref: FlitRef, node: NodeId, tail: bool },
-    JourneySt { packet: crate::packet::PacketId, out_port: PortId },
-    JourneyStall { packet: crate::packet::PacketId, router: NodeId, cause: StallCause, head: bool },
-    Trace(TraceEvent),
+/// Logging [`Commit`] for a shard worker's link and NIC phases. The
+/// arena is read-only there: only a fault run allocates or frees in
+/// those phases, and a fault run steps them inline.
+struct ShardLog<'a> {
+    arena: &'a FlitArena,
+    log: &'a mut Vec<Effect>,
+    traced: bool,
+}
+
+impl Commit for ShardLog<'_> {
+    #[inline]
+    fn traced(&self) -> bool {
+        self.traced
+    }
+
+    #[inline]
+    fn flit(&self, fref: FlitRef) -> &Flit {
+        self.arena.get(fref)
+    }
+
+    #[inline]
+    fn commit(&mut self, e: Effect) {
+        self.log.push(e);
+    }
 }
 
 /// Per-slot access to the flit arena during the pipeline phase.
@@ -300,22 +442,22 @@ impl<'a> ArenaSlots<'a> {
     }
 }
 
-/// Logging [`StepFx`] for shard workers. Built only by
-/// [`ShardRuntime::step_routers`] for a router of the worker's own
-/// range, which is what its in-place effects rely on:
+/// Logging [`StepFx`] for shard workers, built by
+/// [`ShardRuntime::step_routers`] for the routers of one shard's
+/// `range`, which is what its in-place effects rely on:
 ///
-/// * `forward` bumps the hop count of a flit that router holds and
-///   pushes it onto the router's out-link flit wire — the sender's shard
-///   is that wire's only producer, and nothing pops it until the next
-///   link phase;
-/// * `send_credit` pushes onto the router's in-link credit wire — the
-///   receiver's shard is that wire's only producer.
+/// * `forward` bumps the hop count of a flit a stepped router holds and
+///   pushes it onto an out-link flit wire of that router — the sender's
+///   shard is that wire's only producer, and nothing pops it until the
+///   next link phase;
+/// * `send_credit` pushes onto an in-link credit wire of the stepped
+///   router — the receiver's shard is that wire's only producer.
 ///
 /// The order-sensitive remainder goes to the shard's log; commutative
 /// counters accumulate in the shard's [`PipelineTallies`].
 pub(crate) struct DeferredFx<'a> {
-    /// The router being stepped; its shard runs this seam.
-    node: NodeId,
+    /// The routers of the shard running this seam.
+    range: Range<usize>,
     slots: ArenaSlots<'a>,
     wires: LinkWires<'a>,
     traced: bool,
@@ -324,15 +466,10 @@ pub(crate) struct DeferredFx<'a> {
     t: &'a mut PipelineTallies,
 }
 
-impl StepFx for DeferredFx<'_> {
+impl Commit for DeferredFx<'_> {
     #[inline]
     fn traced(&self) -> bool {
         self.traced
-    }
-
-    #[inline]
-    fn journeys_on(&self) -> bool {
-        self.journeys_on
     }
 
     #[inline]
@@ -345,78 +482,35 @@ impl StepFx for DeferredFx<'_> {
     }
 
     #[inline]
+    fn commit(&mut self, e: Effect) {
+        self.log.push(e);
+    }
+}
+
+impl StepFx for DeferredFx<'_> {
+    #[inline]
+    fn journeys_on(&self) -> bool {
+        self.journeys_on
+    }
+
+    #[inline]
     fn link_length_mm(&self, li: usize) -> f64 {
         self.wires.length_mm(li)
     }
 
     #[inline]
-    fn trace(&mut self, ev: TraceEvent) {
-        self.log.push(Effect::Trace(ev));
-    }
-
-    #[inline]
-    fn journey_st(&mut self, packet: crate::packet::PacketId, out_port: PortId, _cycle: u64) {
-        if self.journeys_on {
-            self.log.push(Effect::JourneySt { packet, out_port });
-        }
-    }
-
-    #[inline]
-    fn journey_stall(
-        &mut self,
-        packet: crate::packet::PacketId,
-        router: NodeId,
-        cause: StallCause,
-        head: bool,
-    ) {
-        if self.journeys_on {
-            self.log.push(Effect::JourneyStall { packet, router, cause, head });
-        }
-    }
-
-    #[inline]
-    fn st_read(&mut self, fraction: f64) {
-        self.log.push(Effect::StRead { fraction });
-    }
-
-    #[inline]
-    fn count_rc(&mut self) {
-        self.t.rc += 1;
-    }
-
-    #[inline]
-    fn count_va1(&mut self) {
-        self.t.va1 += 1;
-    }
-
-    #[inline]
-    fn count_va2(&mut self) {
-        self.t.va2 += 1;
-    }
-
-    #[inline]
-    fn count_sa1(&mut self) {
-        self.t.sa1 += 1;
-    }
-
-    #[inline]
-    fn count_sa2(&mut self) {
-        self.t.sa2 += 1;
+    fn tallies(&mut self) -> &mut PipelineTallies {
+        self.t
     }
 
     #[inline]
     fn send_credit(&mut self, li: usize, vc: VcId, at: u64) {
-        assert_eq!(self.wires.to(li).0, self.node, "credit sent on a foreign in-link");
-        // SAFETY: `li` is an in-link of the router being stepped
-        // (asserted above); in the pipeline phase only that router's
-        // shard pushes the credit wire, and no one pops it until the
-        // next link phase.
+        let owner = self.wires.to(li).0.index();
+        assert!(self.range.contains(&owner), "credit sent on an in-link of a foreign shard");
+        // SAFETY: `li` leads into a router of this shard (asserted
+        // above); in the pipeline phase only that router's shard pushes
+        // the credit wire, and no one pops it until the next link phase.
         unsafe { self.wires.send_credit(li, vc, at) };
-    }
-
-    #[inline]
-    fn eject(&mut self, fref: FlitRef, node: NodeId, _cycle: u64, tail: bool) {
-        self.log.push(Effect::Eject { fref, node, tail });
     }
 
     #[inline]
@@ -426,48 +520,22 @@ impl StepFx for DeferredFx<'_> {
         // no other shard reaches it this phase.
         unsafe { self.slots.get_mut(fref) }.hops += 1;
         self.log.push(Effect::Link { length_mm: self.wires.length_mm(li), fraction });
-        assert_eq!(self.wires.from(li).0, self.node, "flit forwarded on a foreign out-link");
-        // SAFETY: `li` is an out-link of the router being stepped
-        // (asserted above); in the pipeline phase only the sender's
-        // shard pushes its flit wire, and no one pops it until the next
-        // link phase.
+        let owner = self.wires.from(li).0.index();
+        assert!(self.range.contains(&owner), "flit forwarded on an out-link of a foreign shard");
+        // SAFETY: `li` leaves a router of this shard (asserted above); in
+        // the pipeline phase only the sender's shard pushes its flit
+        // wire, and no one pops it until the next link phase.
         unsafe { self.wires.send_flit(li, fref, vc, at) };
     }
 }
 
-/// A flit delivered off link `li` by a phase-1 worker: the buffer push
-/// happened in place (the destination router is shard-owned); the
-/// globally ordered remainder — trace event, journey arrival, the f64
-/// buffer-write counter — replays from this entry in link order.
+/// One link of a shard's link-phase plan: which of its two wires the
+/// shard pops.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct P1Flit {
-    pub li: u32,
-    pub head: bool,
-    pub fraction: f64,
-    pub packet: crate::packet::PacketId,
-    pub dst: NodeId,
-    pub port: PortId,
-    pub vc: VcId,
-}
-
-/// A credit applied by a phase-1 worker, logged only when a trace sink
-/// is on so its `CreditReturn` event replays in link order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct P1Credit {
-    pub li: u32,
-    pub vc: VcId,
-}
-
-/// A flit injected by a phase-4 (NIC) worker; the `flits_injected`
-/// count, journey record, trace event, and f64 buffer-write counter
-/// replay in node order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NicEntry {
-    pub node: NodeId,
-    pub vc: VcId,
-    pub packet: crate::packet::PacketId,
-    pub head: bool,
-    pub fraction: f64,
+struct Duty {
+    li: u32,
+    flits: bool,
+    credits: bool,
 }
 
 /// Static shard partition: contiguous router ranges plus the wire
@@ -483,12 +551,10 @@ pub(crate) struct ShardPlan {
     ranges: Vec<(usize, usize)>,
     /// The link count the partition covers.
     links: usize,
-    /// Links whose flit wire each shard pops (those into its routers),
-    /// ascending.
-    flit_links: Vec<Vec<u32>>,
-    /// Links whose credit wire each shard pops (those out of its
-    /// routers), ascending.
-    credit_links: Vec<Vec<u32>>,
+    /// Per shard, link-ascending, the links whose flit wire (into its
+    /// routers) or credit wire (out of its routers) it pops. At one
+    /// shard every link appears with both wires.
+    duties: Vec<Vec<Duty>>,
 }
 
 impl ShardPlan {
@@ -501,20 +567,26 @@ impl ShardPlan {
                 .position(|&(a, b)| (a..b).contains(&node.index()))
                 .expect("router outside every shard range")
         };
-        let partition = |end: fn(&Link) -> NodeId| {
-            let mut of: Vec<Vec<u32>> = vec![Vec::new(); shards];
-            for (li, l) in links.iter().enumerate() {
-                of[owner_of(end(l))].push(li as u32);
+        let mut duties: Vec<Vec<Duty>> = vec![Vec::new(); shards];
+        for (li, l) in links.iter().enumerate() {
+            let li = li as u32;
+            let (f, c) = (owner_of(l.to.0), owner_of(l.from.0));
+            if f == c {
+                duties[f].push(Duty { li, flits: true, credits: true });
+            } else {
+                duties[f].push(Duty { li, flits: true, credits: false });
+                duties[c].push(Duty { li, flits: false, credits: true });
             }
-            of
-        };
-        let flit_links = partition(|l| l.to.0);
-        let credit_links = partition(|l| l.from.0);
-        ShardPlan { ranges, links: links.len(), flit_links, credit_links }
+        }
+        ShardPlan { ranges, links: links.len(), duties }
+    }
+
+    fn range(&self, s: usize) -> Range<usize> {
+        self.ranges[s].0..self.ranges[s].1
     }
 
     /// Panics unless a phase's per-node tables (`rows` each) match the
-    /// partition: the workers index them unchecked.
+    /// partition: the phase bodies index them unchecked.
     fn check_nodes(&self, rows: &[usize]) {
         let nodes = self.ranges.last().map_or(0, |r| r.1);
         assert!(rows.iter().all(|&n| n == nodes), "node tables do not match the shard plan");
@@ -529,43 +601,12 @@ impl ShardPlan {
 /// Per-shard working memory, reused every cycle (cleared keeping
 /// capacity — the steady-state step loop stays allocation-free).
 #[derive(Debug)]
-pub(crate) struct ShardCtx {
+struct ShardCtx {
     scratch: StepScratch,
     tallies: PipelineTallies,
-    pub pipeline: Vec<Effect>,
-    pub p1_flits: Vec<P1Flit>,
-    pub p1_credits: Vec<P1Credit>,
-    pub nic_log: Vec<NicEntry>,
-}
-
-impl ShardCtx {
-    fn new(
-        range_len: usize,
-        flit_links: usize,
-        credit_links: usize,
-        radix: usize,
-        vcs: usize,
-        depth: usize,
-    ) -> Self {
-        ShardCtx {
-            scratch: StepScratch::new(radix, vcs),
-            tallies: PipelineTallies::default(),
-            // At most one ST grant per output port per router per cycle.
-            pipeline: Vec::with_capacity(range_len * radix * 8),
-            // At most one due flit and a couple of credits per wire per
-            // fault-free cycle.
-            p1_flits: Vec::with_capacity(flit_links * 2 + 8),
-            p1_credits: Vec::with_capacity(credit_links * 2 + 8),
-            nic_log: Vec::with_capacity(range_len * vcs * depth + 8),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.pipeline.clear();
-        self.p1_flits.clear();
-        self.p1_credits.clear();
-        self.nic_log.clear();
-    }
+    /// The ordered remainder of the current phase, replayed after its
+    /// barrier (unused at one shard).
+    log: Vec<Effect>,
 }
 
 type JobPtr = *const (dyn Fn(usize) + Sync);
@@ -590,15 +631,18 @@ struct PoolShared {
     spin_limit: u32,
 }
 
-// The job pointer is only written between epochs (before the Release
-// bump) and only read after the Acquire load of the new epoch; the
-// pointee outlives the epoch because `run` joins before returning.
+// SAFETY: the job pointer is only written between epochs (before the
+// Release bump) and only read after the Acquire load of the new epoch;
+// the pointee outlives the epoch because `run` joins before returning.
+// Every other field is a thread-safe type.
 unsafe impl Send for PoolShared {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for PoolShared {}
 
 /// A persistent spin-then-yield worker pool. Shard 0 is the calling
 /// thread; workers carry shard indices `1..=N-1`. Dispatch and join are
-/// allocation-free (the zero-alloc suite covers the sharded step).
+/// allocation-free (the zero-alloc suite covers the sharded step). A
+/// one-shard engine's pool has no workers and is never run.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
@@ -618,9 +662,10 @@ impl WorkerPool {
         // The pool runs `workers + 1` threads per dispatch (the caller
         // is shard 0). With at least that many CPUs, spinning keeps the
         // barrier latency in the nanoseconds; with fewer, every spin
-        // iteration delays the very thread the barrier is waiting on.
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let spin_limit = if cpus > workers { SPIN_LIMIT } else { 0 };
+        // iteration delays the very thread the barrier is waiting on. A
+        // pool without workers never runs, so it skips the CPU query.
+        let cpus = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spin_limit = if workers > 0 && cpus() > workers { SPIN_LIMIT } else { 0 };
         let shared = Arc::new(PoolShared {
             epoch: AtomicU64::new(0),
             done: AtomicU64::new(0),
@@ -650,9 +695,12 @@ impl WorkerPool {
     pub(crate) fn run(&self, f: &(dyn Fn(usize) + Sync)) {
         let shared = &*self.shared;
         shared.done.store(0, Ordering::Relaxed);
-        // Erase the borrow lifetime: the job pointer is only dereferenced
-        // between the epoch bump below and the join, while `f` is live.
+        // SAFETY: only the borrow lifetime is erased; the job pointer is
+        // dereferenced between the epoch bump below and the join, while
+        // `f` is live.
         let erased: JobPtr = unsafe { std::mem::transmute(std::ptr::from_ref(f)) };
+        // SAFETY: every worker finished the previous epoch (the join),
+        // so none reads the slot until the Release bump below.
         unsafe { *shared.job.get() = Some(erased) };
         shared.epoch.fetch_add(1, Ordering::Release);
 
@@ -716,7 +764,11 @@ fn worker_loop(shared: &PoolShared, idx: usize) {
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
+        // SAFETY: the dispatcher wrote the slot before the Release bump
+        // this thread just Acquired, and does not write it again before
+        // the join.
         let job = unsafe { (*shared.job.get()).expect("epoch bumped without a job") };
+        // SAFETY: the job outlives the epoch (`run` joins first).
         let f = unsafe { &*job };
         if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(idx))) {
             *shared.panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(p);
@@ -726,14 +778,14 @@ fn worker_loop(shared: &PoolShared, idx: usize) {
     }
 }
 
-/// Everything the sharded step needs, built once by
-/// `Network::set_shards` and reused every cycle. Its three phase
-/// methods are the worker bodies of the sharded cycle; each returns
-/// after the barrier, leaving the order-sensitive remainder in the
-/// per-shard logs for `Network::step_sharded` to replay.
+/// The cycle engine's shard state, built by `Network::new` and
+/// `Network::set_shards` and reused every cycle: the partition, the
+/// worker pool (no threads at one shard) and one context per shard. Its
+/// three phase methods run a phase body on the calling thread, applying
+/// effects in place — with one shard, or when `inline` (every phase of
+/// a fault run) — or on every shard, followed by the ordered replay.
 #[derive(Debug)]
 pub(crate) struct ShardRuntime {
-    shards: usize,
     plan: ShardPlan,
     pool: WorkerPool,
     ctxs: Vec<ShardCtx>,
@@ -748,209 +800,374 @@ impl ShardRuntime {
         vcs: usize,
         depth: usize,
     ) -> Self {
-        assert!((2..=MAX_SHARDS).contains(&shards), "shard count out of range");
+        assert!((1..=MAX_SHARDS).contains(&shards), "shard count out of range");
         let plan = ShardPlan::new(routers, links, shards);
         let ctxs = (0..shards)
             .map(|s| {
-                let (a, b) = plan.ranges[s];
-                let (flits, credits) = (plan.flit_links[s].len(), plan.credit_links[s].len());
-                ShardCtx::new(b - a, flits, credits, radix, vcs, depth)
+                // Per phase: at most one ST grant per output port per
+                // router per cycle, with its trace events; at most one
+                // due flit and a couple of credits per wire; one NIC
+                // flit per local buffer slot. One shard logs nothing.
+                let (nodes, duties) = (plan.range(s).len(), plan.duties[s].len());
+                let log = if shards == 1 {
+                    0
+                } else {
+                    (nodes * radix * 8).max(duties * 4 + 16).max(nodes * vcs * depth + 8)
+                };
+                ShardCtx {
+                    scratch: StepScratch::new(radix, vcs),
+                    tallies: PipelineTallies::default(),
+                    log: Vec::with_capacity(log),
+                }
             })
             .collect();
-        ShardRuntime { shards, plan, pool: WorkerPool::new(shards - 1), ctxs }
+        ShardRuntime { plan, pool: WorkerPool::new(shards - 1), ctxs }
     }
 
     /// The shard count.
     pub(crate) fn shards(&self) -> usize {
-        self.shards
+        self.ctxs.len()
     }
 
-    /// The per-shard logs the last phase left, in shard order.
-    pub(crate) fn ctxs(&self) -> &[ShardCtx] {
-        &self.ctxs
-    }
-
-    /// Phase 1, link delivery. Each shard pops the flit wires of the
-    /// links into its routers, pushing every due flit straight into its
-    /// destination buffer and logging a [`P1Flit`], then pops the credit
-    /// wires of the links out of its routers and applies each credit in
-    /// place (logging a [`P1Credit`] only when `log_credits`). Clears
-    /// every shard context first.
+    /// Phase 1, link delivery, for a fault-free network (a fault run's
+    /// link layer feeds the same [`accept_flit`]/[`accept_credit`] from
+    /// its own loop). Each shard runs [`deliver`] over its wires; with N
+    /// shards one k-way merge over the logs, each link-ascending, then
+    /// replays them in the one-shard order: by link, flits before
+    /// credits. Credits are logged only when traced, so untraced the
+    /// merge costs O(flits delivered), not O(links).
     pub(crate) fn deliver_links(
         &mut self,
         routers: &mut [Router],
         activity: &mut [RouterActivity],
         links: &mut [Link],
-        arena: &FlitArena,
-        cycle: u64,
-        log_credits: bool,
+        out: &mut Sinks<'_>,
     ) {
         self.plan.check_nodes(&[routers.len(), activity.len()]);
         self.plan.check_links(links.len());
-        let ShardRuntime { plan, pool, ctxs, .. } = self;
+        let ShardRuntime { plan, pool, ctxs } = self;
         let plan = &*plan;
-        let ctxs = SyncPtr(ctxs.as_mut_ptr());
         let routers = SyncPtr(routers.as_mut_ptr());
         let activity = SyncPtr(activity.as_mut_ptr());
         let wires = LinkWires::new(links);
+        let cycle = out.cycle;
+        if ctxs.len() == 1 {
+            // SAFETY: the one shard owns every wire, router and activity
+            // row, and this thread holds them all exclusively.
+            unsafe {
+                deliver(&plan.duties[0], plan.range(0), wires, routers, activity, cycle, out)
+            };
+            return;
+        }
+        let (arena, traced) = (&*out.arena, out.traced);
+        let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
         pool.run(&move |s| {
             // SAFETY: one context per shard, indexed by the shard's id.
-            let ctx = unsafe { &mut *ctxs.get().add(s) };
-            ctx.clear();
-            let range = plan.ranges[s].0..plan.ranges[s].1;
-            for &li in &plan.flit_links[s] {
-                let (dst, port) = wires.to(li as usize);
-                assert!(range.contains(&dst.index()), "flit wire {li} outside shard {s}");
-                // SAFETY: `dst` is in this shard's range (asserted above),
-                // and so is its activity row.
-                let router = unsafe { &mut *routers.get().add(dst.index()) };
-                // SAFETY: as for the router.
-                let act = unsafe { &mut *activity.get().add(dst.index()) };
-                // SAFETY: in the link phase the flit wire of `li` is
-                // popped only by the shard of its destination router, and
-                // nothing pushes it.
-                while let Some(f) = unsafe { wires.take_due_flit(li as usize, cycle) } {
-                    let (packet, head) = {
-                        let flit = arena.get(f.flit);
-                        (flit.packet, flit.is_head())
-                    };
-                    let fraction = router.receive_flit(port, f.vc, f.flit, arena, cycle);
-                    act.buffer_events += fraction;
-                    ctx.p1_flits.push(P1Flit { li, head, fraction, packet, dst, port, vc: f.vc });
-                }
-            }
-            for &li in &plan.credit_links[s] {
-                let (src, port) = wires.from(li as usize);
-                assert!(range.contains(&src.index()), "credit wire {li} outside shard {s}");
-                // SAFETY: `src` is in this shard's range (asserted above).
-                let router = unsafe { &mut *routers.get().add(src.index()) };
-                // SAFETY: in the link phase the credit wire of `li` is
-                // popped only by the shard of its source router, and
-                // nothing pushes it.
-                while let Some(c) = unsafe { wires.take_due_credit(li as usize, cycle) } {
-                    router.receive_credit(port, c.vc);
-                    if log_credits {
-                        ctx.p1_credits.push(P1Credit { li, vc: c.vc });
+            let ctx = unsafe { &mut *ctxs_ptr.get().add(s) };
+            ctx.log.clear();
+            let mut log = ShardLog { arena, log: &mut ctx.log, traced };
+            // SAFETY: the plan gives each wire to exactly one shard —
+            // a flit wire to the shard of its destination router, a
+            // credit wire to the shard of its source router — and
+            // `deliver` asserts that every popped wire's router lies in
+            // this shard's range, so no two workers share a wire, router
+            // or activity row.
+            unsafe {
+                deliver(&plan.duties[s], plan.range(s), wires, routers, activity, cycle, &mut log)
+            };
+        });
+        let mut cursor = [0usize; MAX_SHARDS];
+        loop {
+            let mut next: Option<((u32, bool), usize)> = None;
+            for (s, ctx) in ctxs.iter().enumerate() {
+                if let Some(e) = ctx.log.get(cursor[s]) {
+                    let key = e.link_key();
+                    if next.is_none_or(|(k, _)| key < k) {
+                        next = Some((key, s));
                     }
                 }
             }
-        });
+            let Some((_, s)) = next else { break };
+            out.apply(ctxs[s].log[cursor[s]]);
+            cursor[s] += 1;
+        }
     }
 
-    /// Phase 2, router pipelines: each shard steps the non-quiescent
-    /// routers of its range through a [`DeferredFx`], which sends flits
-    /// and credits in place and logs the ordered remainder. The
-    /// commutative stage tallies merge into `counters` after the
-    /// barrier.
-    #[allow(clippy::too_many_arguments)]
+    /// Phase 2, router pipelines: [`step_range`] through a [`DirectFx`]
+    /// over every router, or per shard through a [`DeferredFx`], which
+    /// sends flits and credits in place and logs the ordered remainder.
+    /// The logs then replay in shard (= router-ascending) order, after
+    /// the commutative stage tallies merge.
     pub(crate) fn step_routers(
         &mut self,
         routers: &mut [Router],
         activity: &mut [RouterActivity],
         links: &mut [Link],
-        arena: &mut FlitArena,
         topo: &dyn Topology,
-        counters: &mut ActivityCounters,
-        cycle: u64,
-        traced: bool,
-        journeys_on: bool,
+        out: &mut Sinks<'_>,
+        inline: bool,
     ) {
         self.plan.check_nodes(&[routers.len(), activity.len()]);
         self.plan.check_links(links.len());
-        let ShardRuntime { plan, pool, ctxs, .. } = self;
+        let ShardRuntime { plan, pool, ctxs } = self;
         let plan = &*plan;
-        let ctxs = SyncPtr(ctxs.as_mut_ptr());
+        let n = routers.len();
         let routers = SyncPtr(routers.as_mut_ptr());
         let activity = SyncPtr(activity.as_mut_ptr());
+        let cycle = out.cycle;
+        if inline || ctxs.len() == 1 {
+            let ShardCtx { scratch, tallies, .. } = &mut ctxs[0];
+            let mut fx = DirectFx { sinks: out.reborrow(), links, t: &mut *tallies };
+            // SAFETY: this thread holds every router and activity row
+            // exclusively.
+            unsafe { step_range(0..n, routers, activity, topo, scratch, cycle, &mut fx) };
+            tallies.merge_into(out.counters);
+            return;
+        }
+        let (traced, journeys_on) = (out.traced, out.journeys.is_some());
         let wires = LinkWires::new(links);
-        let slots = ArenaSlots::new(arena);
+        let slots = ArenaSlots::new(out.arena);
+        let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
         pool.run(&move |s| {
             // SAFETY: one context per shard, indexed by the shard's id.
-            let ctx = unsafe { &mut *ctxs.get().add(s) };
-            let (start, end) = plan.ranges[s];
-            for i in start..end {
-                // SAFETY: router `i` and its activity row are in this
-                // shard's range.
-                let r = unsafe { &mut *routers.get().add(i) };
-                if r.is_quiescent() {
-                    continue;
-                }
-                // SAFETY: as for the router.
-                let act = unsafe { &mut *activity.get().add(i) };
-                let mut fx = DeferredFx {
-                    node: NodeId(i),
-                    slots,
-                    wires,
-                    traced,
-                    journeys_on,
-                    log: &mut ctx.pipeline,
-                    t: &mut ctx.tallies,
-                };
-                r.step(cycle, topo, &mut ctx.scratch, act, &mut fx);
-            }
+            let ctx = unsafe { &mut *ctxs_ptr.get().add(s) };
+            ctx.log.clear();
+            let mut fx = DeferredFx {
+                range: plan.range(s),
+                slots,
+                wires,
+                traced,
+                journeys_on,
+                log: &mut ctx.log,
+                t: &mut ctx.tallies,
+            };
+            // SAFETY: shard ranges are disjoint, so this shard is the
+            // only one stepping these routers; `DeferredFx` asserts the
+            // wire rules of the phase.
+            unsafe {
+                step_range(plan.range(s), routers, activity, topo, &mut ctx.scratch, cycle, &mut fx)
+            };
         });
-        for ctx in &mut self.ctxs {
-            ctx.tallies.merge_into(counters);
+        for ctx in ctxs.iter_mut() {
+            ctx.tallies.merge_into(out.counters);
         }
+        replay(ctxs, out);
     }
 
-    /// Phase 4, NIC injection: each shard moves queued flits of its own
-    /// nodes into their local input buffers and logs a [`NicEntry`] per
-    /// flit. The fault-severance check of the sequential path is absent
-    /// by construction — fault runs never shard.
+    /// Phase 4, NIC injection: [`inject_range`] over every node, or per
+    /// shard (a node's queue, router and activity row share its shard)
+    /// with the logs replayed in node order.
     pub(crate) fn inject(
         &mut self,
         nics: &mut [Nic],
         routers: &mut [Router],
         activity: &mut [RouterActivity],
-        arena: &FlitArena,
-        cycle: u64,
+        out: &mut Sinks<'_>,
+        inline: bool,
     ) {
         self.plan.check_nodes(&[nics.len(), routers.len(), activity.len()]);
-        let ShardRuntime { plan, pool, ctxs, .. } = self;
+        let ShardRuntime { plan, pool, ctxs } = self;
         let plan = &*plan;
-        let ctxs = SyncPtr(ctxs.as_mut_ptr());
+        let n = nics.len();
         let nics = SyncPtr(nics.as_mut_ptr());
         let routers = SyncPtr(routers.as_mut_ptr());
         let activity = SyncPtr(activity.as_mut_ptr());
+        let cycle = out.cycle;
+        if inline || ctxs.len() == 1 {
+            // SAFETY: this thread holds every NIC, router and activity
+            // row exclusively.
+            unsafe { inject_range(0..n, nics, routers, activity, cycle, out) };
+            return;
+        }
+        let (arena, traced) = (&*out.arena, out.traced);
+        let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
         pool.run(&move |s| {
             // SAFETY: one context per shard, indexed by the shard's id.
-            let ctx = unsafe { &mut *ctxs.get().add(s) };
-            let (start, end) = plan.ranges[s];
-            for node in start..end {
-                // SAFETY: node `node`'s NIC, router and activity row are
-                // in this shard's range.
-                let nic = unsafe { &mut *nics.get().add(node) };
-                // SAFETY: as for the NIC.
-                let router = unsafe { &mut *routers.get().add(node) };
-                // SAFETY: as for the NIC.
-                let act = unsafe { &mut *activity.get().add(node) };
-                for (vc, queue) in nic.queues.iter_mut().enumerate() {
-                    while let Some(&fref) = queue.front() {
-                        if router.local_free_slots(VcId(vc)) == 0 {
-                            break;
-                        }
-                        queue.pop_front();
-                        let (packet, head) = {
-                            let flit = arena.get(fref);
-                            (flit.packet, flit.is_head())
-                        };
-                        let fraction =
-                            router.receive_flit(PortId::LOCAL, VcId(vc), fref, arena, cycle);
-                        act.buffer_events += fraction;
-                        let (node, vc) = (NodeId(node), VcId(vc));
-                        ctx.nic_log.push(NicEntry { node, vc, packet, head, fraction });
-                    }
-                }
-            }
+            let ctx = unsafe { &mut *ctxs_ptr.get().add(s) };
+            ctx.log.clear();
+            let mut log = ShardLog { arena, log: &mut ctx.log, traced };
+            // SAFETY: shard ranges are disjoint, so this shard is the
+            // only one touching these nodes' NICs, routers and rows.
+            unsafe { inject_range(plan.range(s), nics, routers, activity, cycle, &mut log) };
         });
+        replay(ctxs, out);
+    }
+}
+
+/// Replays every shard's log in shard order.
+fn replay(ctxs: &[ShardCtx], out: &mut Sinks<'_>) {
+    for ctx in ctxs {
+        for &e in &ctx.log {
+            out.apply(e);
+        }
+    }
+}
+
+/// Buffers flit `f`, delivered off link `li` into `router`'s input
+/// `port`, and commits its ordered remainder: the one arrival tail, for
+/// the link-phase body and the fault layer alike.
+pub(crate) fn accept_flit<O: Commit>(
+    out: &mut O,
+    router: &mut Router,
+    act: &mut RouterActivity,
+    li: u32,
+    port: PortId,
+    f: &FlitInFlight,
+    cycle: u64,
+) {
+    let flit = out.flit(f.flit);
+    let (packet, head) = (flit.packet, flit.is_head());
+    let fraction = router.receive_flit(port, f.vc, f.flit, flit, cycle);
+    act.buffer_events += fraction;
+    out.commit(Effect::Arrival { li, head, router: router.id(), port, vc: f.vc, packet, fraction });
+}
+
+/// Returns a credit, delivered off link `li`, to `router`'s output
+/// `port`; when traced, commits its `CreditReturn` event.
+pub(crate) fn accept_credit<O: Commit>(
+    out: &mut O,
+    router: &mut Router,
+    li: u32,
+    port: PortId,
+    vc: VcId,
+) {
+    router.receive_credit(port, vc);
+    if out.traced() {
+        out.commit(Effect::Credit { li, router: router.id(), port, vc });
+    }
+}
+
+/// The link-delivery body: for each of `duties`, link-ascending, pops
+/// the due flits and then the due credits of the wires it names — per
+/// link, flits then credits, the order the trace stream pins — buffering
+/// each flit and returning each credit in place.
+///
+/// # Safety
+///
+/// Until it returns, the calling thread must be the only one touching
+/// the wires `duties` names and the routers and activity rows in
+/// `range`; `routers` and `activity` must point to tables covering
+/// `range`. Each popped wire's router is asserted to lie in `range`.
+unsafe fn deliver<O: Commit>(
+    duties: &[Duty],
+    range: Range<usize>,
+    wires: LinkWires<'_>,
+    routers: SyncPtr<Router>,
+    activity: SyncPtr<RouterActivity>,
+    cycle: u64,
+    out: &mut O,
+) {
+    for d in duties {
+        let li = d.li as usize;
+        // Endpoints resolve only once something is due: most wires
+        // deliver nothing in a given cycle.
+        if d.flits {
+            // SAFETY: per the contract, this thread owns the flit wire.
+            while let Some(f) = unsafe { wires.take_due_flit(li, cycle) } {
+                let (dst, port) = wires.to(li);
+                assert!(range.contains(&dst.index()), "flit wire {li} outside shard {range:?}");
+                // SAFETY: `dst` lies in `range` (asserted above), which
+                // this thread owns, and so does its activity row.
+                let router = unsafe { &mut *routers.get().add(dst.index()) };
+                // SAFETY: as for the router.
+                let act = unsafe { &mut *activity.get().add(dst.index()) };
+                accept_flit(out, router, act, d.li, port, &f, cycle);
+            }
+        }
+        if d.credits {
+            // SAFETY: per the contract, this thread owns the credit wire.
+            while let Some(c) = unsafe { wires.take_due_credit(li, cycle) } {
+                let (src, port) = wires.from(li);
+                assert!(range.contains(&src.index()), "credit wire {li} outside shard {range:?}");
+                // SAFETY: `src` lies in `range` (asserted above), which
+                // this thread owns.
+                let router = unsafe { &mut *routers.get().add(src.index()) };
+                accept_credit(out, router, d.li, port, c.vc);
+            }
+        }
+    }
+}
+
+/// The router-pipeline body: steps every non-quiescent router in
+/// `range` through `fx`.
+///
+/// # Safety
+///
+/// Until it returns, the calling thread must be the only one touching
+/// the routers and activity rows in `range`; `routers` and `activity`
+/// must point to tables covering `range`. `fx` upholds the wire rules of
+/// the pipeline phase.
+unsafe fn step_range<F: StepFx>(
+    range: Range<usize>,
+    routers: SyncPtr<Router>,
+    activity: SyncPtr<RouterActivity>,
+    topo: &dyn Topology,
+    scratch: &mut StepScratch,
+    cycle: u64,
+    fx: &mut F,
+) {
+    for i in range {
+        // SAFETY: router `i` lies in `range`, which this thread owns.
+        let r = unsafe { &mut *routers.get().add(i) };
+        if r.is_quiescent() {
+            continue;
+        }
+        // SAFETY: as for the router.
+        let act = unsafe { &mut *activity.get().add(i) };
+        r.step(cycle, topo, scratch, act, fx);
+    }
+}
+
+/// The NIC-injection body: moves queued flits of the nodes in `range`
+/// into their local input buffers as space permits. A flit of a packet
+/// the fault layer severed dies at the source when `out` drops it.
+///
+/// # Safety
+///
+/// Until it returns, the calling thread must be the only one touching
+/// the NICs, routers and activity rows in `range`; the three pointers
+/// must point to tables covering `range`.
+unsafe fn inject_range<O: Commit>(
+    range: Range<usize>,
+    nics: SyncPtr<Nic>,
+    routers: SyncPtr<Router>,
+    activity: SyncPtr<RouterActivity>,
+    cycle: u64,
+    out: &mut O,
+) {
+    for node in range {
+        // SAFETY: node `node` lies in `range`, which this thread owns,
+        // with its NIC, router and activity row.
+        let nic = unsafe { &mut *nics.get().add(node) };
+        // SAFETY: as for the NIC.
+        let router = unsafe { &mut *routers.get().add(node) };
+        // SAFETY: as for the NIC.
+        let act = unsafe { &mut *activity.get().add(node) };
+        for (vc, queue) in nic.queues.iter_mut().enumerate() {
+            let vc = VcId(vc);
+            while let Some(&fref) = queue.front() {
+                if out.drop_severed(fref) {
+                    queue.pop_front();
+                    continue;
+                }
+                if router.local_free_slots(vc) == 0 {
+                    break;
+                }
+                queue.pop_front();
+                let flit = out.flit(fref);
+                let (packet, head) = (flit.packet, flit.is_head());
+                let fraction = router.receive_flit(PortId::LOCAL, vc, fref, flit, cycle);
+                act.buffer_events += fraction;
+                out.commit(Effect::Inject { node: NodeId(node), vc, packet, head, fraction });
+            }
+        }
     }
 }
 
 /// A raw pointer that asserts cross-thread shareability. Soundness is
-/// the phase method's obligation: every sharded phase hands each worker
-/// a disjoint set of elements of the pointee (routers, activity rows,
-/// source queues or contexts of its own shard).
+/// the phase body's obligation: every phase hands each shard a disjoint
+/// set of elements of the pointee (routers, activity rows, source
+/// queues or contexts of its own shard).
 struct SyncPtr<T>(*mut T);
 
 // Manual impls: the derives would bound on `T: Copy`, but the wrapper
@@ -1027,25 +1244,33 @@ mod tests {
         assert_eq!(plan.ranges.last(), Some(&(6, 9)));
         let covered: usize = plan.ranges.iter().map(|(a, b)| b - a).sum();
         assert_eq!(covered, 9, "every router in exactly one shard");
-        // Flit wires go to the shard of `link.to`, credit wires to the
-        // shard of `link.from`; each partition lists every link exactly
-        // once, under the right shard, in ascending order.
-        let check = |of: &[Vec<u32>], end: fn(&Link) -> NodeId, wire: &str| {
-            let mut seen = vec![0u32; links.len()];
-            for (w, ls) in of.iter().enumerate() {
-                let (a, b) = plan.ranges[w];
-                let mut prev = None;
-                for &li in ls {
-                    let node = end(&links[li as usize]).index();
-                    assert!((a..b).contains(&node), "{wire} wire of link {li} under shard {w}");
-                    assert!(prev.is_none_or(|p| p < li), "per-shard {wire} list ascending");
-                    prev = Some(li);
-                    seen[li as usize] += 1;
-                }
+        // Each shard's duties are link-ascending and name only wires of
+        // its routers — a flit wire under the shard of `link.to`, a
+        // credit wire under the shard of `link.from` — and together
+        // they name every wire exactly once.
+        let mut seen = vec![(0u32, 0u32); links.len()];
+        for (w, duties) in plan.duties.iter().enumerate() {
+            let range = plan.range(w);
+            let mut prev = None;
+            for d in duties {
+                let l = &links[d.li as usize];
+                assert!(d.flits || d.credits, "duty {} names no wire", d.li);
+                assert!(
+                    !d.flits || range.contains(&l.to.0.index()),
+                    "flit wire {} under {w}",
+                    d.li
+                );
+                assert!(
+                    !d.credits || range.contains(&l.from.0.index()),
+                    "credit wire {} under {w}",
+                    d.li
+                );
+                assert!(prev.is_none_or(|p| p < d.li), "per-shard duties ascending");
+                prev = Some(d.li);
+                seen[d.li as usize].0 += u32::from(d.flits);
+                seen[d.li as usize].1 += u32::from(d.credits);
             }
-            assert!(seen.iter().all(|&c| c == 1), "every {wire} wire owned exactly once");
-        };
-        check(&plan.flit_links, |l| l.to.0, "flit");
-        check(&plan.credit_links, |l| l.from.0, "credit");
+        }
+        assert!(seen.iter().all(|&c| c == (1, 1)), "every wire owned exactly once");
     }
 }

@@ -54,9 +54,9 @@ pub struct SimConfig {
     /// bit-identical to a build without the anomaly subsystem).
     pub anomaly: AnomalyConfig,
     /// Intra-run shard count for parallel cycle execution (DESIGN.md
-    /// §18). `0` defers to the `MIRA_SHARDS` environment default applied
-    /// by `Network::new`; any other value overrides it (`1` forces
-    /// sequential stepping). Bit-identical at every count.
+    /// §18). `0` defers to the `MIRA_SHARDS` environment default; any
+    /// other value overrides it (`1` runs every phase on the calling
+    /// thread). Bit-identical at every count.
     pub shards: usize,
 }
 
@@ -300,12 +300,9 @@ impl Simulator {
     /// Creates a simulator over `topo` with the given network and phase
     /// configuration.
     pub fn new(topo: Box<dyn Topology>, net_cfg: NetworkConfig, cfg: SimConfig) -> Self {
-        let mut network = Network::new(topo, net_cfg);
-        if cfg.shards > 0 {
-            // An explicit count overrides the MIRA_SHARDS default that
-            // Network::new may already have applied.
-            network.set_shards(cfg.shards);
-        }
+        // An explicit shard count overrides the MIRA_SHARDS default.
+        let shards = if cfg.shards > 0 { cfg.shards } else { crate::config::shards_from_env() };
+        let mut network = Network::with_shards(topo, net_cfg, shards);
         network.set_telemetry(cfg.telemetry);
         network.set_faults(cfg.faults).expect("invalid fault configuration");
         let recorder = if cfg.anomaly.is_enabled() {

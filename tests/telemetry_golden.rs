@@ -10,6 +10,8 @@
 use mira::arch::Arch;
 use mira::experiments::common::{run_arch, EXPERIMENT_SEED};
 use mira::experiments::quick_sim_config;
+use mira::noc::fault::FaultConfig;
+use mira_noc::journey::PacketJourney;
 use mira_noc::telemetry::{TelemetryConfig, TraceEvent};
 use mira_noc::traffic::{PayloadProfile, UniformRandom};
 use mira_noc::{SimConfig, SimReport, Simulator};
@@ -135,19 +137,21 @@ fn enabled_telemetry_is_bit_identical_to_disabled() {
 }
 
 /// Runs `arch` at `rate` (short-flit fraction `short`, layer shutdown
-/// when non-zero) with the trace sink and journeys on, on `shards`
-/// shards, returning the report and every recorded trace event.
-fn traced_events(
+/// when non-zero, fault injection per `faults`) with the trace sink and
+/// journeys on, on `shards` shards, returning the report, every
+/// recorded trace event and the finished journeys.
+fn traced_run(
     arch: Arch,
     rate: f64,
     short: f64,
+    faults: Option<FaultConfig>,
     shards: usize,
-) -> (SimReport, Vec<TraceEvent>, usize) {
+) -> (SimReport, Vec<TraceEvent>, Vec<PacketJourney>) {
     let mut w = UniformRandom::new(rate, 5, EXPERIMENT_SEED);
     if short > 0.0 {
         w = w.with_payload(PayloadProfile::with_short_fraction(4, short));
     }
-    let cfg = quick_sim_config()
+    let mut cfg = quick_sim_config()
         .with_telemetry(TelemetryConfig {
             metrics_window: 500,
             trace_capacity: 1 << 22,
@@ -155,24 +159,27 @@ fn traced_events(
             journey_seed: 0,
         })
         .with_shards(shards);
+    if let Some(f) = faults {
+        cfg = cfg.with_faults(f);
+    }
     let mut sim = Simulator::new(arch.topology(), arch.network_config(short > 0.0), cfg);
     let report = sim.run(Box::new(w));
     let sink = sim.network().trace_sink().expect("trace sink installed");
     assert_eq!(sink.dropped(), 0, "{arch}: the ring must hold the whole run");
-    (report, sink.events().copied().collect(), sim.journeys().len())
+    (report, sink.events().copied().collect(), sim.journeys().to_vec())
 }
 
 /// The sharded engine replays trace events and journey records in the
-/// sequential order: with the trace sink and journeys on, 2 and 4
+/// one-shard order: with the trace sink and journeys on, 2 and 4
 /// shards record the 1-shard event stream event for event, on a 2DB
 /// point and a 3DM layer-shutdown point.
 #[test]
 fn traced_event_stream_is_identical_across_shard_counts() {
     for (arch, rate, short) in [(Arch::TwoDB, 0.10, 0.0), (Arch::ThreeDM, 0.20, 0.5)] {
-        let (base, events, journeys) = traced_events(arch, rate, short, 1);
-        assert!(!events.is_empty() && journeys > 0, "{arch}: the run was traced");
+        let (base, events, journeys) = traced_run(arch, rate, short, None, 1);
+        assert!(!events.is_empty() && !journeys.is_empty(), "{arch}: the run was traced");
         for shards in [2, 4] {
-            let (report, sharded, sharded_journeys) = traced_events(arch, rate, short, shards);
+            let (report, sharded, sharded_journeys) = traced_run(arch, rate, short, None, shards);
             assert_eq!(sharded.len(), events.len(), "{arch}/{shards} shards: event count");
             if let Some(i) = (0..events.len()).find(|&i| sharded[i] != events[i]) {
                 panic!(
@@ -186,6 +193,99 @@ fn traced_event_stream_is_identical_across_shard_counts() {
                 report.avg_latency.to_bits(),
                 base.avg_latency.to_bits(),
                 "{arch}/{shards} shards: avg_latency"
+            );
+        }
+    }
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Digest of a trace-event stream: per event, in order, the
+/// little-endian bytes of `cycle`, `router`, `port`, `vc`, the kind's
+/// declaration index, `packet` and `detail` (all widened to `u64`).
+fn event_digest(events: &[TraceEvent]) -> u64 {
+    fnv1a(events.iter().flat_map(|e| {
+        [
+            e.cycle,
+            e.router.index() as u64,
+            e.port.index() as u64,
+            e.vc.index() as u64,
+            e.kind as u64,
+            e.packet,
+            u64::from(e.detail),
+        ]
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+    }))
+}
+
+/// Digest of the finished journeys: the bytes of their compact JSON.
+fn journey_digest(journeys: &[PacketJourney]) -> u64 {
+    fnv1a(serde_json::to_string(journeys).expect("journeys serialize").into_bytes())
+}
+
+/// One traced point pinned by digest: `(name, arch, rate, short-flit
+/// fraction, faulted, event digest, journey digest)`.
+type TracedDigest = (&'static str, Arch, f64, f64, bool, u64, u64);
+
+/// Trace-event and journey digests recorded with the two-engine step
+/// (separate sequential and sharded paths) that preceded the single
+/// cycle engine, by running [`traced_run`] at 1 shard and hashing with
+/// [`event_digest`] / [`journey_digest`]. The faulted point uses
+/// [`golden_faults`] (transients, a retry budget, a link kill with
+/// rerouting), so it pins the fault layer's trace order too.
+const TRACED_DIGESTS: [TracedDigest; 3] = [
+    ("2db_ur010", Arch::TwoDB, 0.10, 0.0, false, 0xb7e8_8e00_0e04_c2ac, 0x0888_94a3_b280_6264),
+    (
+        "3dm_ur020_short",
+        Arch::ThreeDM,
+        0.20,
+        0.5,
+        false,
+        0x8025_fd39_131d_7791,
+        0xb400_e4b9_4f0f_0430,
+    ),
+    (
+        "2db_ur010_faults",
+        Arch::TwoDB,
+        0.10,
+        0.0,
+        true,
+        0x5191_2a6c_d86d_1e5d,
+        0x7ca6_df40_2816_28c8,
+    ),
+];
+
+/// The fault plan of `tests/golden_core.rs`'s faulted points.
+fn golden_faults() -> FaultConfig {
+    FaultConfig::disabled()
+        .with_transient(2_000)
+        .with_kill(14, 1, 400)
+        .with_max_retries(4)
+        .with_reroute(true)
+        .with_seed(EXPERIMENT_SEED)
+}
+
+/// The one-shard trace-event order and journeys equal the pinned
+/// digests, and so do 2 shards' — a reordering of link delivery (say,
+/// every flit wire before every credit wire) keeps `SimReport` intact
+/// but moves these.
+#[test]
+fn traced_streams_match_pinned_digests() {
+    for &(name, arch, rate, short, faulted, events_want, journeys_want) in &TRACED_DIGESTS {
+        let faults = faulted.then(golden_faults);
+        for shards in [1, 2] {
+            let (_, events, journeys) = traced_run(arch, rate, short, faults, shards);
+            let (ev, jn) = (event_digest(&events), journey_digest(&journeys));
+            assert_eq!(
+                (ev, jn),
+                (events_want, journeys_want),
+                "{name}/{shards} shards: digests {ev:#018x}/{jn:#018x}"
             );
         }
     }
