@@ -11,9 +11,6 @@
 //! `--trace-out <path>` / `--metrics-out <path>` write a Perfetto
 //! -compatible event trace and a metrics dump from one representative
 //! traced run.
-//!
-//! Criterion benches covering the simulator engine and each experiment
-//! group live under `benches/`.
 
 use std::time::Instant;
 
@@ -32,14 +29,13 @@ const USAGE: &str = "usage: <bin> [--quick] [--json] [--metrics-window <cycles>]
                      [--trace-out <path>] [--metrics-out <path>] \
                      [--span-sample-rate <0..=1>] [--journeys-out <path>] \
                      [--fault-rate <fraction>] [--kill-link <node:port[@cycle]>] \
-                     [--fault-seed <seed>] [--compare <baseline.json>] \
-                     [--obs-out <path>] [--progress-json] \
+                     [--fault-seed <seed>] [--obs-out <path>] [--progress-json] \
                      [--resume] [--checkpoint-dir <dir>] [--point-timeout <secs>] \
                      [--point-retries <n>] [--fail-fast] \
                      [--anomaly] [--anomaly-no-progress <cycles>] \
                      [--anomaly-starvation <cycles>] [--anomaly-fault-storm <events>] \
                      [--anomaly-latency-spike-pct <pct>] [--anomaly-window <cycles>] \
-                     [--blackbox-out <dir>] [--mesh <WxH>] [--shards <n>]";
+                     [--blackbox-out <dir>]";
 
 /// Shared CLI handling for the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,10 +70,6 @@ pub struct Cli {
     /// Seed for the fault plan (`--fault-seed`); defaults to the fault
     /// subsystem's own default when unset.
     pub fault_seed: Option<u64>,
-    /// Baseline report to regression-gate against (`--compare <path>`):
-    /// binaries that support it exit non-zero when a measured point falls
-    /// too far below the baseline.
-    pub compare: Option<&'static str>,
     /// Write the host-observability snapshot as JSON (`--obs-out`); a
     /// Prometheus text rendering lands next to it with a `.prom`
     /// extension. Giving the flag also enables observability for the
@@ -123,24 +115,6 @@ pub struct Cli {
     /// Directory anomaly black-box dumps are written under
     /// (`--blackbox-out`; default `results/blackbox`).
     pub blackbox_out: Option<&'static str>,
-    /// Explicit 2D mesh size as `(width, height)` for binaries that
-    /// support scaling runs (`--mesh WxH`, e.g. `--mesh 16x16`).
-    pub mesh: Option<(usize, usize)>,
-    /// Intra-run shard-worker count for a single simulation
-    /// (`--shards <n>`; DESIGN.md §18). Unset leaves the `MIRA_SHARDS`
-    /// environment default in charge.
-    pub shards: Option<usize>,
-}
-
-/// Parses `WxH` (e.g. `16x16`) for `--mesh`.
-fn parse_mesh(spec: &str) -> Option<(usize, usize)> {
-    let (w, h) = spec.split_once('x')?;
-    let (w, h) = (w.parse().ok()?, h.parse().ok()?);
-    if w >= 2 && h >= 2 {
-        Some((w, h))
-    } else {
-        None
-    }
 }
 
 /// Parses `node:port[@cycle]` (e.g. `7:3@250`) for `--kill-link`.
@@ -228,12 +202,6 @@ impl Cli {
                         Some(kill) => cli.kill_link = Some(kill),
                         None => usage_error(&format!("invalid --kill-link spec {v:?}")),
                     }
-                }
-                "--compare" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| usage_error("--compare needs a baseline path"));
-                    cli.compare = Some(leak(v));
                 }
                 "--obs-out" => {
                     let v = args.next().unwrap_or_else(|| usage_error("--obs-out needs a path"));
@@ -333,20 +301,6 @@ impl Cli {
                     let v =
                         args.next().unwrap_or_else(|| usage_error("--blackbox-out needs a dir"));
                     cli.blackbox_out = Some(leak(v));
-                }
-                "--mesh" => {
-                    let v = args.next().unwrap_or_else(|| usage_error("--mesh needs WxH"));
-                    match parse_mesh(&v) {
-                        Some(mesh) => cli.mesh = Some(mesh),
-                        None => usage_error(&format!("invalid --mesh value {v:?}")),
-                    }
-                }
-                "--shards" => {
-                    let v = args.next().unwrap_or_else(|| usage_error("--shards needs a count"));
-                    match v.parse::<usize>() {
-                        Ok(n) if n > 0 => cli.shards = Some(n),
-                        _ => usage_error(&format!("invalid --shards value {v:?}")),
-                    }
                 }
                 "--fault-seed" => {
                     let v = args.next().unwrap_or_else(|| usage_error("--fault-seed needs a seed"));
@@ -641,67 +595,6 @@ pub fn emit_with_runner<T: serde::Serialize>(
     write_telemetry_artifacts(cli);
     write_obs_artifacts(cli);
     eprintln!("[done in {:.1?}]", started.elapsed());
-}
-
-/// Drives a bare [`Network`](mira::noc::network::Network) under
-/// uniform-random load for `cycles` cycles and returns the flits
-/// ejected — the measured unit of the `bench_step` binary. No warm-up,
-/// measurement, or drain phases: this times `Network::step` itself, not
-/// the simulation driver.
-pub fn drive_network_step(arch: Arch, rate: f64, cycles: u64) -> u64 {
-    drive_network_step_sharded(arch, rate, cycles, None, 0)
-}
-
-/// Like [`drive_network_step`], but on an explicit 2D mesh size and
-/// shard-worker count — the scaling points of `bench_step` (DESIGN.md
-/// §18). `mesh: None` keeps the architecture's native topology (a
-/// `Some` mesh replaces it with a plain 2D mesh at the 2DB pitch);
-/// `shards: 0` leaves the `MIRA_SHARDS` environment default in charge.
-pub fn drive_network_step_sharded(
-    arch: Arch,
-    rate: f64,
-    cycles: u64,
-    mesh: Option<(usize, usize)>,
-    shards: usize,
-) -> u64 {
-    use mira::noc::network::Network;
-    use mira::noc::packet::{Packet, PacketId};
-    use mira::noc::topology::{Mesh2D, Topology};
-    use mira::noc::traffic::Workload;
-    let topo: Box<dyn Topology> = match mesh {
-        Some((w, h)) => Box::new(Mesh2D::with_pitch(w, h, Mesh2D::PITCH_2DB_MM)),
-        None => arch.topology(),
-    };
-    let mut net = Network::new(topo, arch.network_config(false));
-    if shards > 0 {
-        net.set_shards(shards);
-    }
-    let mut workload = UniformRandom::new(rate, 5, EXPERIMENT_SEED);
-    workload.init(net.topology().num_nodes());
-    let mut next_packet = 0u64;
-    let mut ejected = Vec::new();
-    for cycle in 0..cycles {
-        for spec in workload.generate(cycle) {
-            net.enqueue_packet(Packet {
-                id: PacketId(next_packet),
-                src: spec.src,
-                dst: spec.dst,
-                class: spec.class,
-                payload: spec.payload,
-                created_at: cycle,
-            });
-            next_packet += 1;
-        }
-        net.step(cycle);
-        net.drain_ejected(&mut ejected);
-        ejected.clear();
-    }
-    if mira_obs::enabled() {
-        let wm = net.watermarks();
-        mira_obs::registry::ARENA_LIVE_PEAK.set_max(wm.arena_live_peak as u64);
-        mira_obs::registry::ROUTER_BUFFER_PEAK.set_max(wm.router_buffer_peak as u64);
-    }
-    net.counters().flits_ejected
 }
 
 /// Injection-rate grid for the uniform-random sweeps (flits/node/cycle).

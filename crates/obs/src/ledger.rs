@@ -35,7 +35,7 @@ pub fn default_path() -> PathBuf {
 pub struct LedgerEntry {
     /// Unix timestamp of the append, milliseconds.
     pub ts_ms: u64,
-    /// Producing exhibit/binary (e.g. `fig11a`, `bench_step`).
+    /// Producing exhibit/binary (e.g. `fig11a_latency_ur`, `scorecard`).
     pub exhibit: String,
     /// [`config_hash`] over the batch's point labels and seeds, as
     /// 16 hex digits — the unambiguous batch identity (shared with the
