@@ -360,6 +360,37 @@ fn pop_due<T>(wire: &mut VecDeque<T>, cycle: u64, due: impl Fn(&T) -> u64) -> Op
     }
 }
 
+/// The number of flits and of credits on each link's two wires, kept
+/// beside the link table and updated by every push and pop, so link
+/// delivery skips an empty wire without touching its [`Link`]. A count
+/// is written by the one shard that owns its wire in the phase at hand,
+/// exactly like the wire itself.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct WireLoad {
+    flits: Vec<u32>,
+    credits: Vec<u32>,
+}
+
+impl WireLoad {
+    /// The counts of `links` as they stand.
+    pub(crate) fn of(links: &[Link]) -> Self {
+        let mut load = WireLoad { flits: vec![0; links.len()], credits: vec![0; links.len()] };
+        for (li, l) in links.iter().enumerate() {
+            load.sync(li, l);
+        }
+        load
+    }
+
+    /// Re-reads both counts of link `li` from its wires: the update for
+    /// paths that push or pop through `Link` itself (the one-shard
+    /// sends, whose ARQ may swallow a flit, and the fault layer).
+    #[inline]
+    pub(crate) fn sync(&mut self, li: usize, link: &Link) {
+        self.flits[li] = link.flits.len() as u32;
+        self.credits[li] = link.credits.len() as u32;
+    }
+}
+
 /// Field-level access to a link table during a sharded phase
 /// (DESIGN.md §18).
 ///
@@ -371,33 +402,61 @@ fn pop_due<T>(wire: &mut VecDeque<T>, cycle: u64, due: impl Fn(&T) -> u64) -> Op
 /// The endpoints and length are never written while this handle lives
 /// (it is built from an exclusive borrow of the table), so reading them
 /// is safe. Touching a wire is `unsafe`: the caller must be the wire's
-/// sole user in the current phase.
+/// sole user in the current phase. The wire's [`WireLoad`] count goes
+/// with it, so an empty wire is skipped without reading its `Link`.
 #[derive(Clone, Copy)]
 pub(crate) struct LinkWires<'a> {
     base: *mut Link,
     len: usize,
+    flits: *mut u32,
+    credits: *mut u32,
     _links: PhantomData<&'a mut [Link]>,
 }
 
-// SAFETY: `base` and `len` describe a table exclusively borrowed for
-// `'a`, and `Link` is `Send`. On its own the handle only reads the
-// immutable endpoint and length fields; every wire access is an
-// `unsafe` method whose caller guarantees that one thread owns the
-// wire for the phase.
+// SAFETY: `base` and `len` describe a table, and `flits`/`credits` its
+// two count columns, exclusively borrowed for `'a`; `Link` is `Send`.
+// On its own the handle only reads the immutable endpoint and length
+// fields; every wire or count access is an `unsafe` method whose caller
+// guarantees that one thread owns the wire for the phase.
 unsafe impl Send for LinkWires<'_> {}
 // SAFETY: as for `Send`.
 unsafe impl Sync for LinkWires<'_> {}
 
 impl<'a> LinkWires<'a> {
-    /// A handle over `links`, exclusively borrowed for `'a`.
-    pub(crate) fn new(links: &'a mut [Link]) -> Self {
-        LinkWires { base: links.as_mut_ptr(), len: links.len(), _links: PhantomData }
+    /// A handle over `links` and their counts, exclusively borrowed for
+    /// `'a`.
+    pub(crate) fn new(links: &'a mut [Link], load: &'a mut WireLoad) -> Self {
+        assert!(
+            load.flits.len() == links.len() && load.credits.len() == links.len(),
+            "wire counts do not match the link table"
+        );
+        LinkWires {
+            base: links.as_mut_ptr(),
+            len: links.len(),
+            flits: load.flits.as_mut_ptr(),
+            credits: load.credits.as_mut_ptr(),
+            _links: PhantomData,
+        }
     }
 
     fn link(self, li: usize) -> *mut Link {
         assert!(li < self.len, "link {li} out of range");
         // SAFETY: `li` is in bounds of the table `base` points to.
         unsafe { self.base.add(li) }
+    }
+
+    /// The flit count of link `li`.
+    fn flit_count(self, li: usize) -> *mut u32 {
+        assert!(li < self.len, "link {li} out of range");
+        // SAFETY: `li` is in bounds of the count column.
+        unsafe { self.flits.add(li) }
+    }
+
+    /// The credit count of link `li`.
+    fn credit_count(self, li: usize) -> *mut u32 {
+        assert!(li < self.len, "link {li} out of range");
+        // SAFETY: `li` is in bounds of the count column.
+        unsafe { self.credits.add(li) }
     }
 
     /// Upstream endpoint of link `li`.
@@ -434,6 +493,8 @@ impl<'a> LinkWires<'a> {
         // that field, so a concurrent user of the credit wire is disjoint.
         let wire = unsafe { &mut *addr_of_mut!((*l).flits) };
         push_flit(wire, FlitInFlight { deliver_at, vc, seq: 0, parity: 0, flit: fref });
+        // SAFETY: the caller owns the flit wire, and so its count.
+        unsafe { *self.flit_count(li) += 1 };
     }
 
     /// Removes and returns the next flit due on link `li` at or before
@@ -443,9 +504,16 @@ impl<'a> LinkWires<'a> {
     ///
     /// As for [`LinkWires::send_flit`].
     pub(crate) unsafe fn take_due_flit(self, li: usize, cycle: u64) -> Option<FlitInFlight> {
+        // SAFETY: the caller owns the flit wire, and so its count.
+        let count = unsafe { &mut *self.flit_count(li) };
+        if *count == 0 {
+            return None;
+        }
         // SAFETY: the caller owns the flit wire (field-level borrow).
         let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).flits) };
-        pop_due(wire, cycle, |f| f.deliver_at)
+        let f = pop_due(wire, cycle, |f| f.deliver_at)?;
+        *count -= 1;
+        Some(f)
     }
 
     /// Sends a credit up link `li`.
@@ -458,6 +526,8 @@ impl<'a> LinkWires<'a> {
         // SAFETY: the caller owns the credit wire (field-level borrow).
         let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).credits) };
         wire.push_back(CreditInFlight { deliver_at, vc });
+        // SAFETY: the caller owns the credit wire, and so its count.
+        unsafe { *self.credit_count(li) += 1 };
     }
 
     /// Removes and returns the next credit due on link `li` at or before
@@ -467,9 +537,16 @@ impl<'a> LinkWires<'a> {
     ///
     /// As for [`LinkWires::send_credit`].
     pub(crate) unsafe fn take_due_credit(self, li: usize, cycle: u64) -> Option<CreditInFlight> {
+        // SAFETY: the caller owns the credit wire, and so its count.
+        let count = unsafe { &mut *self.credit_count(li) };
+        if *count == 0 {
+            return None;
+        }
         // SAFETY: the caller owns the credit wire (field-level borrow).
         let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).credits) };
-        pop_due(wire, cycle, |c| c.deliver_at)
+        let c = pop_due(wire, cycle, |c| c.deliver_at)?;
+        *count -= 1;
+        Some(c)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use mira_obs::phase::{scope as obs_scope, Phase as ObsPhase};
+use mira_obs::phase::{step_clock, Phase as ObsPhase};
 
 use crate::arena::{FlitArena, FlitRef};
 use crate::config::NetworkConfig;
@@ -16,7 +16,7 @@ use crate::error::NocError;
 use crate::fault::{FaultConfig, FaultCounters, FaultPlan, Verdict};
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::Link;
+use crate::link::{Link, WireLoad};
 use crate::packet::{Packet, PacketId};
 use crate::router::{EjectedFlit, Router};
 use crate::shard::{accept_credit, accept_flit, ShardRuntime, Sinks, MAX_SHARDS};
@@ -29,19 +29,49 @@ use crate::topology::Topology;
 
 /// Per-node network interface: one unbounded source queue per VC. The
 /// queues hold [`FlitRef`]s into the network's arena, so moving a flit
-/// from the queue into a router buffer moves a 4-byte index.
+/// from the queue into a router buffer moves a 4-byte index. The count
+/// of queued flits sits beside the queues and moves with every push and
+/// pop, so injection skips an idle NIC without touching its queues.
 #[derive(Debug)]
 pub(crate) struct Nic {
-    pub(crate) queues: Vec<VecDeque<FlitRef>>,
+    queues: Vec<VecDeque<FlitRef>>,
+    queued: usize,
 }
 
 impl Nic {
     fn new(vcs: usize) -> Self {
-        Nic { queues: (0..vcs).map(|_| VecDeque::new()).collect() }
+        Nic { queues: (0..vcs).map(|_| VecDeque::new()).collect(), queued: 0 }
     }
 
-    fn queued_flits(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+    /// Flits waiting in all of this NIC's queues.
+    #[inline]
+    pub(crate) fn queued(&self) -> usize {
+        self.queued
+    }
+
+    /// The number of source queues (one per VC).
+    #[inline]
+    pub(crate) fn vcs(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn push(&mut self, vc: usize, fref: FlitRef) {
+        self.queues[vc].push_back(fref);
+        self.queued += 1;
+    }
+
+    /// The flit at the front of `vc`'s queue.
+    #[inline]
+    pub(crate) fn front(&self, vc: VcId) -> Option<FlitRef> {
+        self.queues[vc.index()].front().copied()
+    }
+
+    /// Removes the flit at the front of `vc`'s queue.
+    #[inline]
+    pub(crate) fn pop(&mut self, vc: VcId) {
+        if self.queues[vc.index()].pop_front().is_some() {
+            self.queued -= 1;
+        }
     }
 }
 
@@ -125,6 +155,8 @@ pub struct Network {
     cfg: NetworkConfig,
     routers: Vec<Router>,
     links: Vec<Link>,
+    /// Flits and credits on each link's wires.
+    load: WireLoad,
     nics: Vec<Nic>,
     /// The single flit store: every flit anywhere in the network (source
     /// queues, router buffers, link wires) lives in one slot here and
@@ -148,6 +180,11 @@ pub struct Network {
     /// scratch and effect logs); one shard unless [`Network::set_shards`]
     /// or `MIRA_SHARDS` asked for more.
     rt: ShardRuntime,
+    /// `true` while every active-layer fraction the network has seen is
+    /// a multiple of 1/8 (shutdown off, or every flit 1, 2, 4 or 8 words
+    /// wide), so its f64 activity sums are exact in any order; cleared
+    /// for good by the first flit that breaks it.
+    exact_sums: bool,
 }
 
 impl std::fmt::Debug for Network {
@@ -209,6 +246,7 @@ impl Network {
             topo,
             cfg,
             routers,
+            load: WireLoad::of(&links),
             links,
             nics: (0..n).map(|_| Nic::new(vcs)).collect(),
             ejected: Vec::new(),
@@ -219,6 +257,7 @@ impl Network {
             journeys: None,
             faults: None,
             rt,
+            exact_sums: true,
         }
     }
 
@@ -422,29 +461,36 @@ impl Network {
         let vc = packet.class.vc_index().min(self.cfg.router.vcs_per_port - 1);
         let src = packet.src.index();
         for flit in packet.into_flit_iter() {
+            // `active / words` is a multiple of 1/8 exactly when the
+            // width divides 8.
+            if self.cfg.layer_shutdown && 8 % flit.data.num_words() != 0 {
+                self.exact_sums = false;
+            }
             let fref = self.arena.alloc(flit);
-            self.nics[src].queues[vc].push_back(fref);
+            self.nics[src].push(vc, fref);
         }
     }
 
     /// Advances the whole network by one cycle.
     ///
-    /// Each numbered section sits under a `mira-obs` phase scope; the
-    /// five sections tile the whole body under
-    /// [`Phase::StepTotal`](mira_obs::phase::Phase), which is what makes
-    /// the profiler's ≥95 % coverage claim checkable. With observability
-    /// off (the default) every scope is one relaxed atomic load.
+    /// One `mira-obs` [`StepClock`](mira_obs::phase::StepClock) times
+    /// the three numbered sections from a single chain of clock reads, so
+    /// they tile the whole body under
+    /// [`Phase::StepTotal`](mira_obs::phase::Phase) — what makes the
+    /// profiler's ≥95 % coverage claim checkable. With observability off
+    /// (the default) the clock is one relaxed atomic load.
     ///
     /// The phase bodies live in [`crate::shard`]: with one shard they
     /// run here and apply every effect in place; with N they run on
     /// every shard and the order-sensitive remainder replays here.
     pub fn step(&mut self, cycle: u64) {
-        let _step = obs_scope(ObsPhase::StepTotal);
+        let mut clock = step_clock();
         let Network {
             topo,
             cfg,
             routers,
             links,
+            load,
             nics,
             arena,
             ejected,
@@ -455,10 +501,18 @@ impl Network {
             journeys,
             faults,
             rt,
+            exact_sums,
         } = self;
         counters.cycles += 1;
-        let mut out =
-            Sinks::new(cycle, counters, arena, ejected, sink.as_mut(), journeys.as_deref_mut());
+        let mut out = Sinks::new(
+            cycle,
+            counters,
+            arena,
+            ejected,
+            sink.as_mut(),
+            journeys.as_deref_mut(),
+            *exact_sums,
+        );
         // A fault run steps every phase inline: its link layer clones
         // ARQ flits into the arena and frees slots mid-phase, which the
         // shard partition does not isolate.
@@ -466,51 +520,35 @@ impl Network {
 
         // 1. Deliver due flits and credits from the links — through the
         // fault layer when fault injection is engaged.
-        let link_scope = obs_scope(ObsPhase::LinkDelivery);
         match faults.as_deref_mut() {
             Some(fr) => {
-                fault_link_phase(fr, routers, activity, links, &mut out, cfg.layer_shutdown)
+                fault_link_phase(fr, routers, activity, links, load, &mut out, cfg.layer_shutdown)
             }
-            None => rt.deliver_links(routers, activity, links, &mut out),
+            None => rt.deliver_links(routers, activity, links, load, &mut out),
         }
-        drop(link_scope);
+        clock.lap(ObsPhase::LinkDelivery);
 
-        // 2. Router pipelines. Quiescent routers (no buffered flit, no
-        // pending switch grant) are provably no-ops — no counter, stall,
-        // trace, or arbiter state can change — so the active-set skip
-        // costs nothing in fidelity and most of the fabric at low load.
-        let pipeline_scope = obs_scope(ObsPhase::RouterPipeline);
-        rt.step_routers(routers, activity, links, &**topo, &mut out, inline);
-        drop(pipeline_scope);
-
-        // 3. Occupancy accounting: buffered flits this cycle (globally
-        // for the energy model, per router for the metrics windows).
-        let occupancy_scope = obs_scope(ObsPhase::Occupancy);
-        let mut occupancy_total = 0u64;
-        for (i, r) in routers.iter().enumerate() {
-            let buffered = r.buffered_flits() as u64;
-            occupancy_total += buffered;
-            if let Some(m) = metrics {
-                m.record_occupancy(i, buffered);
-            }
-        }
-        out.counters.buffer_occupancy_flit_cycles += occupancy_total;
-        drop(occupancy_scope);
-
-        // 4. NIC injection: move queued flits into local input buffers.
-        // This runs after the router phase so that a slot freed by ST in
-        // this cycle is immediately refillable — the NIC plays the role of
-        // an upstream pipeline latch, keeping wormhole streaming gapless.
-        let nic_scope = obs_scope(ObsPhase::NicInject);
+        // 2. Router pipelines, occupancy accounting and NIC injection,
+        // in one pass over the nodes. Quiescent routers (no buffered
+        // flit, no pending switch grant) are provably no-ops — no
+        // counter, stall, trace, or arbiter state can change — so the
+        // active-set skip costs nothing in fidelity and most of the
+        // fabric at low load. Each stepped router's buffered flits count
+        // toward the energy model's occupancy and its metrics window.
+        // The NICs then move queued flits into local input buffers: after
+        // the routers, so that a slot freed by ST in this cycle is
+        // immediately refillable — the NIC plays the role of an upstream
+        // pipeline latch, keeping wormhole streaming gapless.
         out.faults = faults.as_deref_mut();
-        rt.inject(nics, routers, activity, &mut out, inline);
-        drop(nic_scope);
+        let rows = metrics.as_mut().map(MetricsCollector::occupancy_rows);
+        rt.step_nodes(routers, activity, links, load, nics, rows, &**topo, &mut out, inline);
+        clock.lap(ObsPhase::RouterPipeline);
 
-        // 5. Close a metrics window on its boundary cycle.
-        let _telemetry_scope = obs_scope(ObsPhase::Telemetry);
+        // 3. Close a metrics window on its boundary cycle.
         if let Some(m) = metrics {
             m.end_cycle(cycle, |i| routers[i].telemetry());
         }
+        clock.lap(ObsPhase::Telemetry);
     }
 
     /// Host-side high-water marks of the core data structures, for the
@@ -550,15 +588,22 @@ impl Network {
 
     /// Flits waiting in source queues.
     pub fn flits_in_source_queues(&self) -> usize {
-        self.nics.iter().map(Nic::queued_flits).sum()
+        self.nics.iter().map(Nic::queued).sum()
     }
 
-    /// Runs [`Router::assert_worklists_consistent`] on every router —
-    /// the active-set invariant check the property-test suite applies
-    /// after every simulated cycle.
+    /// Runs [`Router::assert_worklists_consistent`] on every router and
+    /// checks that the per-wire and per-NIC counts link delivery and
+    /// injection skip by match the wires and queues — the active-set
+    /// invariant check the property-test suite applies after every
+    /// simulated cycle.
     pub fn assert_worklists_consistent(&self) {
         for r in &self.routers {
             r.assert_worklists_consistent();
+        }
+        assert!(self.load == WireLoad::of(&self.links), "wire counts drifted from the wires");
+        for (node, nic) in self.nics.iter().enumerate() {
+            let queued: usize = nic.queues.iter().map(VecDeque::len).sum();
+            assert_eq!(nic.queued, queued, "NIC {node}: queued count drifted from its queues");
         }
     }
 
@@ -647,6 +692,7 @@ fn fault_link_phase(
     routers: &mut [Router],
     activity: &mut [RouterActivity],
     links: &mut [Link],
+    load: &mut WireLoad,
     out: &mut Sinks<'_>,
     layer_shutdown: bool,
 ) {
@@ -810,6 +856,9 @@ fn fault_link_phase(
             let (src, port) = link.from;
             accept_credit(out, &mut routers[src.index()], li as u32, port, c.vc);
         }
+        // Every link passes here after (a) and (b), so this one re-read
+        // covers the kills, purges, resends, NACKs and drops as well.
+        load.sync(li, link);
     }
 
     // (d) Refresh the per-router pause flags: a link replaying its
@@ -946,6 +995,73 @@ mod tests {
         let ejected = run_until_drained(&mut net, 100);
         assert_eq!(ejected.len(), 2);
         assert!(ejected.iter().all(|e| e.flit.hops == 0));
+    }
+
+    /// Drives a 6×6 mesh with layer shutdown and metrics windows on,
+    /// under seeded uniform traffic whose flits are 1, 2, 4 or 8 words
+    /// wide (so the N-shard engine counts exact k/8 tallies), applying
+    /// `(cycle, shards)` switches as their cycles come up and checking
+    /// the wire and NIC counts after every cycle. Returns the Debug
+    /// rendering of everything a `SimReport` is built from — counters,
+    /// per-router activity, stalls, metrics windows — and of every
+    /// ejected flit in order.
+    fn switched_run(switches: &[(u64, usize)]) -> (String, String) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let cfg = NetworkConfig::builder().layer_shutdown(true).build();
+        let mut net = Network::with_shards(Box::new(Mesh2D::new(6, 6)), cfg, 1);
+        net.set_telemetry(TelemetryConfig { metrics_window: 50, ..TelemetryConfig::default() });
+        let mut rng = SmallRng::seed_from_u64(7);
+        let (mut ejected, mut id) = (Vec::new(), 0u64);
+        for cycle in 0..5_000u64 {
+            if let Some(&(_, shards)) = switches.iter().find(|s| s.0 == cycle) {
+                net.set_shards(shards);
+                assert_eq!(net.shards(), shards);
+            }
+            for src in 0..36 {
+                if cycle < 600 && rng.gen_bool(0.05) {
+                    let words = [1, 2, 4, 8][rng.gen_range(0..4usize)];
+                    id += 1;
+                    net.enqueue_packet(Packet {
+                        id: PacketId(id),
+                        src: NodeId(src),
+                        dst: NodeId((src + 1 + rng.gen_range(0..35usize)) % 36),
+                        class: PacketClass::DataResponse,
+                        payload: (0..3)
+                            .map(|_| FlitData::with_active_words(words, rng.gen_range(1..=words)))
+                            .collect(),
+                        created_at: cycle,
+                    });
+                }
+            }
+            net.step(cycle);
+            net.assert_worklists_consistent();
+            ejected.extend(net.take_ejected());
+            if cycle >= 600 && net.is_drained() {
+                break;
+            }
+        }
+        assert!(net.is_drained(), "network failed to drain");
+        assert!(net.exact_sums, "every flit width divides 8");
+        let report = format!(
+            "{:?}\n{:?}\n{:?}\n{:?}",
+            net.counters(),
+            net.router_activity(),
+            net.stall_totals(),
+            net.metrics_windows()
+        );
+        (report, format!("{ejected:?}"))
+    }
+
+    /// Changing the shard count mid-run (1 → 2 → 4 → 1, each rebuild
+    /// with flits and credits on the wires and packets queued at the
+    /// NICs) keeps the run bit-identical to one that never shards.
+    #[test]
+    fn shard_count_changes_mid_run_keep_every_bit() {
+        let (report, ejected) = switched_run(&[]);
+        let (switched_report, switched_ejected) = switched_run(&[(150, 2), (300, 4), (450, 1)]);
+        assert_eq!(switched_report, report, "counters, activity, stalls or windows drifted");
+        assert_eq!(switched_ejected, ejected, "ejections drifted");
     }
 
     #[test]

@@ -1092,6 +1092,7 @@ mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::flit::{FlitData, FlitKind};
+    use crate::link::WireLoad;
     use crate::packet::{PacketClass, PacketId};
     use crate::shard::{DirectFx, PipelineTallies, Sinks};
     use crate::stats::ActivityCounters;
@@ -1157,9 +1158,11 @@ mod tests {
                 &mut self.ejected,
                 &mut sink,
                 None,
+                false,
             );
             let mut t = PipelineTallies::default();
-            let mut fx = DirectFx { sinks, links: &mut self.links, t: &mut t };
+            let mut load = WireLoad::of(&self.links);
+            let mut fx = DirectFx { sinks, links: &mut self.links, load: &mut load, t: &mut t };
             r.step(cycle, &self.topo, &mut self.scratch, &mut self.activity, &mut fx);
             t.merge_into(&mut self.counters);
         }
@@ -1390,6 +1393,7 @@ mod pipeline_depth_tests {
     use super::*;
     use crate::config::{NetworkConfig, PipelineConfig, PipelineDepth};
     use crate::flit::{FlitData, FlitKind};
+    use crate::link::WireLoad;
     use crate::packet::{PacketClass, PacketId};
     use crate::shard::{DirectFx, PipelineTallies, Sinks};
     use crate::stats::ActivityCounters;
@@ -1425,8 +1429,10 @@ mod pipeline_depth_tests {
         let mut t = PipelineTallies::default();
         for cycle in 0..10 {
             let mut sink = NullSink;
-            let sinks = Sinks::new(cycle, &mut counters, &mut arena, &mut ejected, &mut sink, None);
-            let mut fx = DirectFx { sinks, links: &mut links, t: &mut t };
+            let sinks =
+                Sinks::new(cycle, &mut counters, &mut arena, &mut ejected, &mut sink, None, false);
+            let mut load = WireLoad::of(&links);
+            let mut fx = DirectFx { sinks, links: &mut links, load: &mut load, t: &mut t };
             r.step(cycle, &topo, &mut scratch, &mut activity, &mut fx);
             if let Some(e) = ejected.first() {
                 return e.cycle;

@@ -5,19 +5,21 @@
 //! The mesh is partitioned into contiguous spatial tiles of routers.
 //! With one shard each phase body runs on the calling thread and applies
 //! its order-sensitive effects in place. With N shards, shard 0 runs on
-//! the calling thread and shards 1..N on a persistent [`WorkerPool`];
-//! each barrier-separated phase runs every effect a shard can own on
-//! that shard's worker — buffer pushes, credit returns, link sends, hop
-//! counts — and logs only the *globally ordered* remainder as [`Effect`]
-//! entries, which the calling thread replays in canonical (link- or
-//! router-ascending) order: the non-associative f64 activity-counter
-//! sums, the arena free list (ejections), and trace/journey records.
-//! Commutative `u64` counters are summed from per-shard
-//! [`PipelineTallies`] instead. Either way each effect lands through the
-//! one [`Sinks::apply`], so the result is byte-identical at every seam:
-//! the same f64 additions in the same order, the same trace/journey
-//! event sequence, the same arena free-list history, the same wire
-//! contents.
+//! the calling thread and shards 1..N on a persistent [`WorkerPool`],
+//! in two barrier-separated dispatches per cycle: link delivery, then
+//! the fused router pipeline, occupancy count and NIC injection. Each
+//! runs every effect a shard can own on that shard's worker — buffer
+//! pushes, credit returns, link sends, hop counts — and logs only the
+//! *globally ordered* remainder as [`Effect`] entries, which the calling
+//! thread replays in canonical (link- or node-ascending) order: the
+//! non-associative f64 activity-counter sums, the arena free list
+//! (ejections), and trace/journey records. Commutative counts are summed
+//! from per-shard [`PipelineTallies`] instead — and so are the buffer
+//! and crossbar sums while they are exact (see there). Either way each
+//! logged effect lands through the one [`Sinks::apply`], so the result
+//! is byte-identical at every seam: the same f64 sums, the same
+//! trace/journey event sequence, the same arena free-list history, the
+//! same wire contents.
 //!
 //! Ownership goes by *wire*, not by link ([`ShardPlan`]): a link's flit
 //! wire is pushed by its sender's shard in the pipeline phase and popped
@@ -44,7 +46,7 @@ use crate::arena::{FlitArena, FlitRef};
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::{FlitInFlight, Link, LinkWires};
+use crate::link::{FlitInFlight, Link, LinkWires, WireLoad};
 use crate::network::{FaultRuntime, Nic};
 use crate::packet::PacketId;
 use crate::router::{EjectedFlit, Router, StepScratch};
@@ -56,10 +58,19 @@ use crate::topology::Topology;
 /// any core count this simulator targets).
 pub(crate) const MAX_SHARDS: usize = 64;
 
-/// Commutative `u64` pipeline counters accumulated per shard and summed
-/// into the global [`ActivityCounters`] after the pipeline phase
-/// (integer addition is order-free, so summing per-shard partials is
-/// bit-identical to accumulating in place).
+/// Commutative counts accumulated per shard and summed into the global
+/// [`ActivityCounters`] after each phase: the stage tallies, the
+/// occupancy count and, on the tally path, the buffer-write, buffer-read
+/// and crossbar sums (integer addition is order-free, so summing
+/// per-shard partials is bit-identical to accumulating in place).
+///
+/// The tally path counts each active-layer fraction in eighths. With
+/// layer shutdown off every fraction is 1; with it on a flit of 1, 2, 4
+/// or 8 words has fraction `k/8`. Every partial f64 sum of such
+/// fractions (below 2^50) is exactly representable, so each addition of
+/// the ordered replay is exact and any order gives the same bits —
+/// including one `eighths as f64 / 8.0` added at the merge. A network
+/// whose flits break that ([`Sinks::tally`] clear) keeps the replay.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PipelineTallies {
     pub rc: u64,
@@ -67,17 +78,76 @@ pub(crate) struct PipelineTallies {
     pub va2: u64,
     pub sa1: u64,
     pub sa2: u64,
+    /// Buffered flits after the router pipeline, summed over routers.
+    occupancy: u64,
+    /// Flits the NICs moved into local input buffers.
+    injected: u64,
+    /// Buffer writes (link arrivals and injections), and their fractions
+    /// in eighths.
+    writes: u64,
+    write_eighths: u64,
+    /// Switch traversals (each one buffer read and one crossbar
+    /// traversal), and their fractions in eighths.
+    reads: u64,
+    read_eighths: u64,
 }
 
 impl PipelineTallies {
+    /// Counts `e` instead of logging it when all it does is add to the
+    /// activity sums (the caller has checked that the tally path is on);
+    /// returns `false` for every other effect.
+    #[inline]
+    fn absorb(&mut self, e: &Effect) -> bool {
+        match *e {
+            Effect::Arrival { fraction, .. } => self.write(fraction),
+            Effect::Inject { fraction, .. } => {
+                self.injected += 1;
+                self.write(fraction);
+            }
+            Effect::StRead { fraction } => {
+                self.reads += 1;
+                self.read_eighths += eighths(fraction);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    #[inline]
+    fn write(&mut self, fraction: f64) {
+        self.writes += 1;
+        self.write_eighths += eighths(fraction);
+    }
+
     pub(crate) fn merge_into(&mut self, counters: &mut ActivityCounters) {
         counters.rc_computations += self.rc;
         counters.va1_arbitrations += self.va1;
         counters.va2_arbitrations += self.va2;
         counters.sa1_arbitrations += self.sa1;
         counters.sa2_arbitrations += self.sa2;
+        counters.buffer_occupancy_flit_cycles += self.occupancy;
+        counters.flits_injected += self.injected;
+        if self.writes > 0 {
+            counters.buffer_writes += self.write_eighths as f64 / 8.0;
+            counters.buffer_writes_raw += self.writes;
+        }
+        if self.reads > 0 {
+            let sum = self.read_eighths as f64 / 8.0;
+            counters.buffer_reads += sum;
+            counters.buffer_reads_raw += self.reads;
+            counters.xbar_traversals += sum;
+            counters.xbar_traversals_raw += self.reads;
+        }
         *self = PipelineTallies::default();
     }
+}
+
+/// `fraction` in eighths; exact for the fractions the tally path admits.
+#[inline]
+fn eighths(fraction: f64) -> u64 {
+    let e = fraction * 8.0;
+    debug_assert!(e == e.trunc(), "fraction {fraction} is not a multiple of 1/8");
+    e as u64
 }
 
 /// One order-sensitive effect. What it does to the ordered sinks is
@@ -180,9 +250,16 @@ pub(crate) struct Sinks<'a> {
     pub cycle: u64,
     /// `sink.enabled()`, read once per cycle.
     pub traced: bool,
+    /// Shard workers count `Arrival`, `Inject` and `StRead` in their
+    /// [`PipelineTallies`] instead of logging them: the activity sums
+    /// are exact (see there), and neither a trace nor a journey reads
+    /// those effects.
+    pub tally: bool,
 }
 
 impl<'a> Sinks<'a> {
+    /// The sinks of `cycle`; `exact_sums` says that every active-layer
+    /// fraction the network has seen is a multiple of 1/8.
     pub(crate) fn new(
         cycle: u64,
         counters: &'a mut ActivityCounters,
@@ -190,9 +267,11 @@ impl<'a> Sinks<'a> {
         ejected: &'a mut Vec<EjectedFlit>,
         sink: &'a mut dyn EventSink,
         journeys: Option<&'a mut JourneyRecorder>,
+        exact_sums: bool,
     ) -> Self {
         let traced = sink.enabled();
-        Sinks { counters, arena, ejected, sink, journeys, faults: None, cycle, traced }
+        let tally = exact_sums && !traced && journeys.is_none();
+        Sinks { counters, arena, ejected, sink, journeys, faults: None, cycle, traced, tally }
     }
 
     /// The same sinks, borrowed for one phase's [`DirectFx`].
@@ -206,6 +285,7 @@ impl<'a> Sinks<'a> {
             faults: self.faults.as_deref_mut(),
             cycle: self.cycle,
             traced: self.traced,
+            tally: self.tally,
         }
     }
 
@@ -314,6 +394,7 @@ impl Commit for Sinks<'_> {
 pub(crate) struct DirectFx<'a> {
     pub sinks: Sinks<'a>,
     pub links: &'a mut [Link],
+    pub load: &'a mut WireLoad,
     pub t: &'a mut PipelineTallies,
 }
 
@@ -353,6 +434,7 @@ impl StepFx for DirectFx<'_> {
     #[inline]
     fn send_credit(&mut self, li: usize, vc: VcId, at: u64) {
         self.links[li].send_credit(vc, at);
+        self.load.sync(li, &self.links[li]);
     }
 
     #[inline]
@@ -360,16 +442,19 @@ impl StepFx for DirectFx<'_> {
         self.sinks.arena.get_mut(fref).hops += 1;
         self.sinks.apply(Effect::Link { length_mm: self.links[li].length_mm, fraction });
         self.links[li].send_flit(self.sinks.arena, fref, vc, at);
+        self.load.sync(li, &self.links[li]);
     }
 }
 
-/// Logging [`Commit`] for a shard worker's link and NIC phases. The
-/// arena is read-only there: only a fault run allocates or frees in
-/// those phases, and a fault run steps them inline.
+/// Logging [`Commit`] for a shard worker's link phase. The arena is
+/// read-only there: only a fault run allocates or frees in that phase,
+/// and a fault run steps it inline.
 struct ShardLog<'a> {
     arena: &'a FlitArena,
     log: &'a mut Vec<Effect>,
     traced: bool,
+    tally: bool,
+    t: &'a mut PipelineTallies,
 }
 
 impl Commit for ShardLog<'_> {
@@ -385,16 +470,19 @@ impl Commit for ShardLog<'_> {
 
     #[inline]
     fn commit(&mut self, e: Effect) {
-        self.log.push(e);
+        if !(self.tally && self.t.absorb(&e)) {
+            self.log.push(e);
+        }
     }
 }
 
-/// Per-slot access to the flit arena during the pipeline phase.
+/// Per-slot access to the flit arena during the fused pipeline and
+/// injection phase.
 ///
-/// A flit in a router buffer is reached only by the shard that owns the
-/// router, so each worker touches a disjoint set of slots. The handle
-/// therefore never forms a `&FlitArena` (which would cover every slot)
-/// but addresses one slot at a time.
+/// A flit in a router buffer or a source queue is reached only by the
+/// shard that owns the node, so each worker touches a disjoint set of
+/// slots. The handle therefore never forms a `&FlitArena` (which would
+/// cover every slot) but addresses one slot at a time.
 #[derive(Clone, Copy)]
 struct ArenaSlots<'a> {
     base: *mut Option<Flit>,
@@ -425,8 +513,8 @@ impl<'a> ArenaSlots<'a> {
 
     /// # Safety
     ///
-    /// The flit at `fref` must sit in a buffer of a router the calling
-    /// shard owns, and no `&mut` to it may be live.
+    /// The flit at `fref` must sit in a buffer or source queue of a node
+    /// the calling shard owns, and no `&mut` to it may be live.
     unsafe fn get(self, fref: FlitRef) -> &'a Flit {
         // SAFETY: per the contract, no other thread touches this slot.
         unsafe { (*self.slot(fref)).as_ref().expect("dangling FlitRef") }
@@ -443,8 +531,8 @@ impl<'a> ArenaSlots<'a> {
 }
 
 /// Logging [`StepFx`] for shard workers, built by
-/// [`ShardRuntime::step_routers`] for the routers of one shard's
-/// `range`, which is what its in-place effects rely on:
+/// [`ShardRuntime::step_nodes`] for the nodes of one shard's `range`,
+/// which is what its in-place effects rely on:
 ///
 /// * `forward` bumps the hop count of a flit a stepped router holds and
 ///   pushes it onto an out-link flit wire of that router — the sender's
@@ -454,14 +542,17 @@ impl<'a> ArenaSlots<'a> {
 ///   router — the receiver's shard is that wire's only producer.
 ///
 /// The order-sensitive remainder goes to the shard's log; commutative
-/// counters accumulate in the shard's [`PipelineTallies`].
+/// counters (and, on the tally path, the activity sums) accumulate in
+/// the shard's [`PipelineTallies`]. The same seam then serves the
+/// shard's NIC injection, whose queued flits its nodes own too.
 pub(crate) struct DeferredFx<'a> {
-    /// The routers of the shard running this seam.
+    /// The nodes of the shard running this seam.
     range: Range<usize>,
     slots: ArenaSlots<'a>,
     wires: LinkWires<'a>,
     traced: bool,
     journeys_on: bool,
+    tally: bool,
     log: &'a mut Vec<Effect>,
     t: &'a mut PipelineTallies,
 }
@@ -474,16 +565,19 @@ impl Commit for DeferredFx<'_> {
 
     #[inline]
     fn flit(&self, fref: FlitRef) -> &Flit {
-        // SAFETY: the router being stepped holds `fref` in its buffer
-        // and belongs to this shard (a `FlitRef` has exactly one
-        // holder); the returned borrow ends before any
-        // `&mut self` call (`forward`'s hop bump) can alias it.
+        // SAFETY: the router being stepped holds `fref` in its buffer,
+        // or the NIC injecting it holds it in a source queue, and that
+        // node belongs to this shard (a `FlitRef` has exactly one
+        // holder); the returned borrow ends before any `&mut self` call
+        // (`forward`'s hop bump) can alias it.
         unsafe { self.slots.get(fref) }
     }
 
     #[inline]
     fn commit(&mut self, e: Effect) {
-        self.log.push(e);
+        if !(self.tally && self.t.absorb(&e)) {
+            self.log.push(e);
+        }
     }
 }
 
@@ -605,8 +699,10 @@ struct ShardCtx {
     scratch: StepScratch,
     tallies: PipelineTallies,
     /// The ordered remainder of the current phase, replayed after its
-    /// barrier (unused at one shard).
+    /// barrier (unused at one shard). In the fused phase the pipeline's
+    /// entries come first and the injection's follow from `split` on.
     log: Vec<Effect>,
+    split: usize,
 }
 
 type JobPtr = *const (dyn Fn(usize) + Sync);
@@ -781,7 +877,7 @@ fn worker_loop(shared: &PoolShared, idx: usize) {
 /// The cycle engine's shard state, built by `Network::new` and
 /// `Network::set_shards` and reused every cycle: the partition, the
 /// worker pool (no threads at one shard) and one context per shard. Its
-/// three phase methods run a phase body on the calling thread, applying
+/// two phase methods run a phase body on the calling thread, applying
 /// effects in place — with one shard, or when `inline` (every phase of
 /// a fault run) — or on every shard, followed by the ordered replay.
 #[derive(Debug)]
@@ -804,20 +900,22 @@ impl ShardRuntime {
         let plan = ShardPlan::new(routers, links, shards);
         let ctxs = (0..shards)
             .map(|s| {
-                // Per phase: at most one ST grant per output port per
-                // router per cycle, with its trace events; at most one
-                // due flit and a couple of credits per wire; one NIC
-                // flit per local buffer slot. One shard logs nothing.
+                // Per cycle: in the link phase at most one due flit and a
+                // couple of credits per wire; in the fused phase at most
+                // one ST grant per output port per router, with its trace
+                // events, then one NIC flit per local buffer slot. One
+                // shard logs nothing.
                 let (nodes, duties) = (plan.range(s).len(), plan.duties[s].len());
                 let log = if shards == 1 {
                     0
                 } else {
-                    (nodes * radix * 8).max(duties * 4 + 16).max(nodes * vcs * depth + 8)
+                    (nodes * radix * 8 + nodes * vcs * depth + 8).max(duties * 4 + 16)
                 };
                 ShardCtx {
                     scratch: StepScratch::new(radix, vcs),
                     tallies: PipelineTallies::default(),
                     log: Vec::with_capacity(log),
+                    split: 0,
                 }
             })
             .collect();
@@ -834,13 +932,15 @@ impl ShardRuntime {
     /// its own loop). Each shard runs [`deliver`] over its wires; with N
     /// shards one k-way merge over the logs, each link-ascending, then
     /// replays them in the one-shard order: by link, flits before
-    /// credits. Credits are logged only when traced, so untraced the
-    /// merge costs O(flits delivered), not O(links).
+    /// credits. Credits are logged only when traced, and arrivals not at
+    /// all on the tally path, so the merge costs at most O(flits
+    /// delivered), not O(links).
     pub(crate) fn deliver_links(
         &mut self,
         routers: &mut [Router],
         activity: &mut [RouterActivity],
         links: &mut [Link],
+        load: &mut WireLoad,
         out: &mut Sinks<'_>,
     ) {
         self.plan.check_nodes(&[routers.len(), activity.len()]);
@@ -849,7 +949,7 @@ impl ShardRuntime {
         let plan = &*plan;
         let routers = SyncPtr(routers.as_mut_ptr());
         let activity = SyncPtr(activity.as_mut_ptr());
-        let wires = LinkWires::new(links);
+        let wires = LinkWires::new(links, load);
         let cycle = out.cycle;
         if ctxs.len() == 1 {
             // SAFETY: the one shard owns every wire, router and activity
@@ -859,23 +959,26 @@ impl ShardRuntime {
             };
             return;
         }
-        let (arena, traced) = (&*out.arena, out.traced);
+        let (arena, traced, tally) = (&*out.arena, out.traced, out.tally);
         let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
         pool.run(&move |s| {
             // SAFETY: one context per shard, indexed by the shard's id.
             let ctx = unsafe { &mut *ctxs_ptr.get().add(s) };
             ctx.log.clear();
-            let mut log = ShardLog { arena, log: &mut ctx.log, traced };
+            let mut log = ShardLog { arena, log: &mut ctx.log, traced, tally, t: &mut ctx.tallies };
             // SAFETY: the plan gives each wire to exactly one shard —
             // a flit wire to the shard of its destination router, a
             // credit wire to the shard of its source router — and
             // `deliver` asserts that every popped wire's router lies in
-            // this shard's range, so no two workers share a wire, router
-            // or activity row.
+            // this shard's range, so no two workers share a wire, its
+            // count, a router or an activity row.
             unsafe {
                 deliver(&plan.duties[s], plan.range(s), wires, routers, activity, cycle, &mut log)
             };
         });
+        for ctx in ctxs.iter_mut() {
+            ctx.tallies.merge_into(out.counters);
+        }
         let mut cursor = [0usize; MAX_SHARDS];
         loop {
             let mut next: Option<((u32, bool), usize)> = None;
@@ -893,112 +996,103 @@ impl ShardRuntime {
         }
     }
 
-    /// Phase 2, router pipelines: [`step_range`] through a [`DirectFx`]
-    /// over every router, or per shard through a [`DeferredFx`], which
-    /// sends flits and credits in place and logs the ordered remainder.
-    /// The logs then replay in shard (= router-ascending) order, after
-    /// the commutative stage tallies merge.
-    pub(crate) fn step_routers(
+    /// Phase 2, fused: router pipelines, the occupancy count and NIC
+    /// injection, which are all node-local. Inline, [`step_range`] runs
+    /// through a [`DirectFx`] over every router and [`inject_range`]
+    /// applies into `out` directly; with N shards each shard runs both
+    /// through one [`DeferredFx`] over its own nodes — sending flits and
+    /// credits in place, counting its occupancy and writing its rows of
+    /// `occupancy_rows` (the metrics windows' per-router sums, when
+    /// collected) — and the logs replay in the one-shard order: every
+    /// shard's pipeline entries in shard (= router-ascending) order, then
+    /// every shard's injection entries the same way.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step_nodes(
         &mut self,
         routers: &mut [Router],
         activity: &mut [RouterActivity],
         links: &mut [Link],
+        load: &mut WireLoad,
+        nics: &mut [Nic],
+        occupancy_rows: Option<&mut [u64]>,
         topo: &dyn Topology,
         out: &mut Sinks<'_>,
         inline: bool,
     ) {
-        self.plan.check_nodes(&[routers.len(), activity.len()]);
+        let n = routers.len();
+        let rows_len = occupancy_rows.as_ref().map_or(n, |r| r.len());
+        self.plan.check_nodes(&[n, activity.len(), nics.len(), rows_len]);
         self.plan.check_links(links.len());
         let ShardRuntime { plan, pool, ctxs } = self;
         let plan = &*plan;
-        let n = routers.len();
         let routers = SyncPtr(routers.as_mut_ptr());
         let activity = SyncPtr(activity.as_mut_ptr());
+        let nics = SyncPtr(nics.as_mut_ptr());
+        let rows = occupancy_rows.map(|r| SyncPtr(r.as_mut_ptr()));
         let cycle = out.cycle;
         if inline || ctxs.len() == 1 {
             let ShardCtx { scratch, tallies, .. } = &mut ctxs[0];
-            let mut fx = DirectFx { sinks: out.reborrow(), links, t: &mut *tallies };
-            // SAFETY: this thread holds every router and activity row
-            // exclusively.
-            unsafe { step_range(0..n, routers, activity, topo, scratch, cycle, &mut fx) };
+            let occupancy = {
+                let mut fx = DirectFx { sinks: out.reborrow(), links, load, t: &mut *tallies };
+                // SAFETY: this thread holds every router, activity row
+                // and occupancy row exclusively.
+                unsafe { step_range(0..n, routers, activity, rows, topo, scratch, cycle, &mut fx) }
+            };
+            tallies.occupancy += occupancy;
+            // SAFETY: this thread holds every NIC, router and activity
+            // row exclusively.
+            unsafe { inject_range(0..n, nics, routers, activity, cycle, out) };
             tallies.merge_into(out.counters);
             return;
         }
-        let (traced, journeys_on) = (out.traced, out.journeys.is_some());
-        let wires = LinkWires::new(links);
+        let (traced, journeys_on, tally) = (out.traced, out.journeys.is_some(), out.tally);
+        let wires = LinkWires::new(links, load);
         let slots = ArenaSlots::new(out.arena);
         let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
         pool.run(&move |s| {
             // SAFETY: one context per shard, indexed by the shard's id.
             let ctx = unsafe { &mut *ctxs_ptr.get().add(s) };
             ctx.log.clear();
+            let range = plan.range(s);
             let mut fx = DeferredFx {
-                range: plan.range(s),
+                range: range.clone(),
                 slots,
                 wires,
                 traced,
                 journeys_on,
+                tally,
                 log: &mut ctx.log,
                 t: &mut ctx.tallies,
             };
             // SAFETY: shard ranges are disjoint, so this shard is the
-            // only one stepping these routers; `DeferredFx` asserts the
-            // wire rules of the phase.
-            unsafe {
-                step_range(plan.range(s), routers, activity, topo, &mut ctx.scratch, cycle, &mut fx)
+            // only one stepping these routers and writing their activity
+            // and occupancy rows; `DeferredFx` asserts the wire rules of
+            // the phase.
+            let occupancy = unsafe {
+                step_range(
+                    range.clone(),
+                    routers,
+                    activity,
+                    rows,
+                    topo,
+                    &mut ctx.scratch,
+                    cycle,
+                    &mut fx,
+                )
             };
+            fx.t.occupancy += occupancy;
+            ctx.split = fx.log.len();
+            // SAFETY: as above; a node's NIC shares its router's shard.
+            unsafe { inject_range(range, nics, routers, activity, cycle, &mut fx) };
         });
         for ctx in ctxs.iter_mut() {
             ctx.tallies.merge_into(out.counters);
         }
-        replay(ctxs, out);
-    }
-
-    /// Phase 4, NIC injection: [`inject_range`] over every node, or per
-    /// shard (a node's queue, router and activity row share its shard)
-    /// with the logs replayed in node order.
-    pub(crate) fn inject(
-        &mut self,
-        nics: &mut [Nic],
-        routers: &mut [Router],
-        activity: &mut [RouterActivity],
-        out: &mut Sinks<'_>,
-        inline: bool,
-    ) {
-        self.plan.check_nodes(&[nics.len(), routers.len(), activity.len()]);
-        let ShardRuntime { plan, pool, ctxs } = self;
-        let plan = &*plan;
-        let n = nics.len();
-        let nics = SyncPtr(nics.as_mut_ptr());
-        let routers = SyncPtr(routers.as_mut_ptr());
-        let activity = SyncPtr(activity.as_mut_ptr());
-        let cycle = out.cycle;
-        if inline || ctxs.len() == 1 {
-            // SAFETY: this thread holds every NIC, router and activity
-            // row exclusively.
-            unsafe { inject_range(0..n, nics, routers, activity, cycle, out) };
-            return;
+        for ctx in ctxs.iter() {
+            ctx.log[..ctx.split].iter().for_each(|&e| out.apply(e));
         }
-        let (arena, traced) = (&*out.arena, out.traced);
-        let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
-        pool.run(&move |s| {
-            // SAFETY: one context per shard, indexed by the shard's id.
-            let ctx = unsafe { &mut *ctxs_ptr.get().add(s) };
-            ctx.log.clear();
-            let mut log = ShardLog { arena, log: &mut ctx.log, traced };
-            // SAFETY: shard ranges are disjoint, so this shard is the
-            // only one touching these nodes' NICs, routers and rows.
-            unsafe { inject_range(plan.range(s), nics, routers, activity, cycle, &mut log) };
-        });
-        replay(ctxs, out);
-    }
-}
-
-/// Replays every shard's log in shard order.
-fn replay(ctxs: &[ShardCtx], out: &mut Sinks<'_>) {
-    for ctx in ctxs {
-        for &e in &ctx.log {
-            out.apply(e);
+        for ctx in ctxs.iter() {
+            ctx.log[ctx.split..].iter().for_each(|&e| out.apply(e));
         }
     }
 }
@@ -1089,23 +1183,29 @@ unsafe fn deliver<O: Commit>(
 }
 
 /// The router-pipeline body: steps every non-quiescent router in
-/// `range` through `fx`.
+/// `range` through `fx` and returns the flits the routers hold after
+/// it, adding each router's count to its row of `rows` when metrics
+/// windows are collected. Only a router's own step changes its buffers
+/// in this phase, so counting right after it is counting after all.
 ///
 /// # Safety
 ///
 /// Until it returns, the calling thread must be the only one touching
-/// the routers and activity rows in `range`; `routers` and `activity`
-/// must point to tables covering `range`. `fx` upholds the wire rules of
-/// the pipeline phase.
+/// the routers, activity rows and occupancy rows in `range`; `routers`,
+/// `activity` and `rows` must point to tables covering `range`. `fx`
+/// upholds the wire rules of the pipeline phase.
+#[allow(clippy::too_many_arguments)]
 unsafe fn step_range<F: StepFx>(
     range: Range<usize>,
     routers: SyncPtr<Router>,
     activity: SyncPtr<RouterActivity>,
+    rows: Option<SyncPtr<u64>>,
     topo: &dyn Topology,
     scratch: &mut StepScratch,
     cycle: u64,
     fx: &mut F,
-) {
+) -> u64 {
+    let mut occupancy = 0u64;
     for i in range {
         // SAFETY: router `i` lies in `range`, which this thread owns.
         let r = unsafe { &mut *routers.get().add(i) };
@@ -1115,12 +1215,20 @@ unsafe fn step_range<F: StepFx>(
         // SAFETY: as for the router.
         let act = unsafe { &mut *activity.get().add(i) };
         r.step(cycle, topo, scratch, act, fx);
+        let buffered = r.buffered_flits() as u64;
+        occupancy += buffered;
+        if let Some(rows) = rows {
+            // SAFETY: as for the router.
+            unsafe { *rows.get().add(i) += buffered };
+        }
     }
+    occupancy
 }
 
 /// The NIC-injection body: moves queued flits of the nodes in `range`
-/// into their local input buffers as space permits. A flit of a packet
-/// the fault layer severed dies at the source when `out` drops it.
+/// into their local input buffers as space permits, skipping a NIC with
+/// nothing queued without touching its queues. A flit of a packet the
+/// fault layer severed dies at the source when `out` drops it.
 ///
 /// # Safety
 ///
@@ -1139,21 +1247,23 @@ unsafe fn inject_range<O: Commit>(
         // SAFETY: node `node` lies in `range`, which this thread owns,
         // with its NIC, router and activity row.
         let nic = unsafe { &mut *nics.get().add(node) };
+        if nic.queued() == 0 {
+            continue;
+        }
         // SAFETY: as for the NIC.
         let router = unsafe { &mut *routers.get().add(node) };
         // SAFETY: as for the NIC.
         let act = unsafe { &mut *activity.get().add(node) };
-        for (vc, queue) in nic.queues.iter_mut().enumerate() {
-            let vc = VcId(vc);
-            while let Some(&fref) = queue.front() {
+        for vc in (0..nic.vcs()).map(VcId) {
+            while let Some(fref) = nic.front(vc) {
                 if out.drop_severed(fref) {
-                    queue.pop_front();
+                    nic.pop(vc);
                     continue;
                 }
                 if router.local_free_slots(vc) == 0 {
                     break;
                 }
-                queue.pop_front();
+                nic.pop(vc);
                 let flit = out.flit(fref);
                 let (packet, head) = (flit.packet, flit.is_head());
                 let fraction = router.receive_flit(PortId::LOCAL, vc, fref, flit, cycle);

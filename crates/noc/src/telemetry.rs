@@ -587,6 +587,13 @@ impl MetricsCollector {
         self.occupancy[router] += buffered;
     }
 
+    /// The current window's per-router occupancy sums, for the network's
+    /// fused phase to add each router's count to (one row per router;
+    /// a shard writes the rows of its own routers).
+    pub(crate) fn occupancy_rows(&mut self) -> &mut [u64] {
+        &mut self.occupancy
+    }
+
     /// Called at the end of every cycle; closes a window when `cycle` is
     /// the last cycle of one. `telemetry` yields the cumulative counters
     /// of router `i`.

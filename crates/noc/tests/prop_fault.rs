@@ -129,6 +129,9 @@ proptest! {
                     tails += 1;
                 }
             }
+            // The wire and NIC counts survive kills, ARQ resends and
+            // severed-flit drops.
+            net.assert_worklists_consistent();
             let dropped = net.fault_counters().flits_dropped;
             let in_flight =
                 (net.flits_in_fabric() + net.flits_in_source_queues()) as u64;

@@ -83,7 +83,7 @@ fn allocations_during_steady_state(
     combined: bool,
     recorder: Option<&mut FlightRecorder>,
 ) -> (u64, usize) {
-    allocations_during_steady_state_sharded(topo, combined, recorder, 1)
+    allocations_during_steady_state_sharded(topo, combined, recorder, 1, false)
 }
 
 fn allocations_during_steady_state_sharded(
@@ -91,11 +91,12 @@ fn allocations_during_steady_state_sharded(
     combined: bool,
     mut recorder: Option<&mut FlightRecorder>,
     shards: usize,
+    layer_shutdown: bool,
 ) -> (u64, usize) {
     let nodes = topo.num_nodes();
     let pipeline =
         if combined { PipelineConfig::combined_st_lt() } else { PipelineConfig::separate_lt() };
-    let cfg = NetworkConfig::builder().pipeline(pipeline).build();
+    let cfg = NetworkConfig::builder().pipeline(pipeline).layer_shutdown(layer_shutdown).build();
     let mut net = Network::new(topo, cfg);
     net.set_shards(shards);
 
@@ -189,13 +190,21 @@ fn steady_state_stepping_never_allocates() {
     // closure through an atomic epoch (no boxing), and every per-cycle
     // effect log reaches its steady-state capacity during warmup. The
     // counting allocator is process-global, so worker-thread
-    // allocations would be caught just like main-thread ones.
-    for (name, shards) in [("2-shard", 2usize), ("4-shard", 4)] {
+    // allocations would be caught just like main-thread ones. With layer
+    // shutdown on, the 4-word payloads carry fractions of 1/4 to 1, so
+    // the fused dispatch runs its fractional tally path.
+    for (name, shards, shutdown) in [
+        ("2-shard", 2usize, false),
+        ("4-shard", 4, false),
+        ("2-shard shutdown", 2, true),
+        ("4-shard shutdown", 4, true),
+    ] {
         let (allocs, ejected) = allocations_during_steady_state_sharded(
             Box::new(Mesh2D::new(4, 4)),
             false,
             None,
             shards,
+            shutdown,
         );
         assert!(ejected > 0, "{name} scenario must actually move traffic");
         assert_eq!(

@@ -21,9 +21,10 @@
 //!
 //! * [`registry`] — static-registration atomic counters, max-gauges and
 //!   log₂ histograms, rendered as a JSON snapshot or Prometheus text.
-//! * [`phase`] — scoped wall-time attribution for the hot loop
-//!   ([`phase::scope`] guards around `Network::step`'s sections and the
-//!   router pipeline stages).
+//! * [`phase`] — wall-time attribution for the hot loop (one
+//!   [`phase::StepClock`] chain over `Network::step`'s sections, and
+//!   [`phase::scope`] guards around the router pipeline stages and the
+//!   simulator driver).
 //! * [`provenance`] — git revision / rustc / build profile stamped into
 //!   the binary at compile time.
 //! * [`ledger`] — the append-only `results/ledger.jsonl` run record

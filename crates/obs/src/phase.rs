@@ -10,13 +10,16 @@
 //!
 //! The phases come in three groups:
 //!
-//! * [`Phase::StepTotal`] wraps the whole of `Network::step`, and the
+//! * [`Phase::StepTotal`] spans the whole of `Network::step`, and the
 //!   [`Phase::STEP_SECTIONS`] tile its body exactly — link delivery
-//!   (including ARQ and fault verdicts), router pipelines, occupancy
-//!   accounting, NIC injection, and the metrics-window close. The
-//!   profiler's accounting claim, `coverage() >= 0.95`, compares the
-//!   section sum against the step total: only per-guard overhead and a
-//!   couple of scalar updates can leak out.
+//!   (including ARQ and fault verdicts), the fused router pipeline,
+//!   occupancy and NIC injection, and the metrics-window close. One
+//!   [`StepClock`] times them all from a single chain of clock reads:
+//!   each section ends at the instant the next one starts, so host
+//!   preemption between sections is charged to a section, never lost.
+//!   The profiler's accounting claim, `coverage() >= 0.95`, compares the
+//!   section sum against the step total: only what runs before the
+//!   first section starts and after the last one ends can leak out.
 //! * The `Stage*` phases nest *inside* [`Phase::RouterPipeline`],
 //!   attributing pipeline time to BW/ST, SA, VA, and RC individually
 //!   (BW — buffer write — happens inside link delivery and NIC
@@ -40,12 +43,10 @@ pub enum Phase {
     StepTotal = 0,
     /// Link delivery: due flits and credits, ARQ service, fault verdicts.
     LinkDelivery,
-    /// Router pipeline sweep (all stages, all active routers).
+    /// The fused node-local section: router pipeline sweep (all stages,
+    /// all active routers), buffer-occupancy count, and NIC injection
+    /// from source queues into local input buffers.
     RouterPipeline,
-    /// Buffer-occupancy accounting.
-    Occupancy,
-    /// NIC injection from source queues into local input buffers.
-    NicInject,
     /// Metrics-window bookkeeping at the end of the step.
     Telemetry,
     /// Switch traversal (and the buffer read feeding it).
@@ -63,7 +64,7 @@ pub enum Phase {
 }
 
 /// Number of phases (array sizing).
-const COUNT: usize = 12;
+const COUNT: usize = 10;
 
 impl Phase {
     /// Every phase, in display order.
@@ -71,8 +72,6 @@ impl Phase {
         Phase::StepTotal,
         Phase::LinkDelivery,
         Phase::RouterPipeline,
-        Phase::Occupancy,
-        Phase::NicInject,
         Phase::Telemetry,
         Phase::StageSt,
         Phase::StageSa,
@@ -84,13 +83,8 @@ impl Phase {
 
     /// The sections that tile `Network::step`'s body (the coverage
     /// denominator is [`Phase::StepTotal`], these are the numerator).
-    pub const STEP_SECTIONS: [Phase; 5] = [
-        Phase::LinkDelivery,
-        Phase::RouterPipeline,
-        Phase::Occupancy,
-        Phase::NicInject,
-        Phase::Telemetry,
-    ];
+    pub const STEP_SECTIONS: [Phase; 3] =
+        [Phase::LinkDelivery, Phase::RouterPipeline, Phase::Telemetry];
 
     /// Stable snake-case name (snapshot key and Prometheus label).
     pub fn name(self) -> &'static str {
@@ -98,8 +92,6 @@ impl Phase {
             Phase::StepTotal => "step_total",
             Phase::LinkDelivery => "link_delivery",
             Phase::RouterPipeline => "router_pipeline",
-            Phase::Occupancy => "occupancy",
-            Phase::NicInject => "nic_inject",
             Phase::Telemetry => "telemetry",
             Phase::StageSt => "stage_st",
             Phase::StageSa => "stage_sa",
@@ -160,9 +152,65 @@ impl Drop for PhaseGuard {
     #[inline]
     fn drop(&mut self) {
         if let Some(t0) = self.start {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            NANOS[self.phase as usize].fetch_add(ns, Ordering::Relaxed);
-            CALLS[self.phase as usize].fetch_add(1, Ordering::Relaxed);
+            charge(self.phase, nanos(t0, Instant::now()));
+        }
+    }
+}
+
+/// Charges `ns` nanoseconds and one call to `phase`.
+#[inline]
+fn charge(phase: Phase, ns: u64) {
+    NANOS[phase as usize].fetch_add(ns, Ordering::Relaxed);
+    CALLS[phase as usize].fetch_add(1, Ordering::Relaxed);
+}
+
+/// Nanoseconds from `from` to `to`.
+#[inline]
+fn nanos(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The section timer of one `Network::step`: a single chain of clock
+/// reads. [`StepClock::lap`] ends the running section at the instant the
+/// next one starts; dropping the clock charges [`Phase::StepTotal`] from
+/// the first read to the last. Inert, like [`scope`], when observability
+/// is off or on a shard worker thread.
+#[derive(Debug)]
+pub struct StepClock {
+    /// The step's first clock read and the running section's start.
+    start: Option<(Instant, Instant)>,
+}
+
+/// Starts the section chain of one step (the first section starts now).
+#[inline(always)]
+pub fn step_clock() -> StepClock {
+    let start = if crate::enabled() && !IS_WORKER.with(Cell::get) {
+        let now = Instant::now();
+        Some((now, now))
+    } else {
+        None
+    };
+    StepClock { start }
+}
+
+impl StepClock {
+    /// Charges the running section to `phase` and starts the next one at
+    /// the same instant.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase) {
+        if let Some((_, section)) = &mut self.start {
+            let now = Instant::now();
+            charge(phase, nanos(*section, now));
+            *section = now;
+        }
+    }
+}
+
+impl Drop for StepClock {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some((first, _)) = self.start {
+            charge(Phase::StepTotal, nanos(first, Instant::now()));
         }
     }
 }
@@ -223,25 +271,27 @@ mod tests {
         reset();
         crate::set_enabled(false);
         {
-            let _p = scope(Phase::StepTotal);
+            let _p = scope(Phase::StageSt);
+            step_clock().lap(Phase::LinkDelivery);
         }
         assert!(snapshot().iter().all(|s| s.calls == 0), "disabled scopes must not record");
 
         crate::set_enabled(true);
         {
-            let _t = scope(Phase::StepTotal);
+            let mut clock = step_clock();
             for &s in &Phase::STEP_SECTIONS {
-                let _p = scope(s);
                 std::hint::black_box(0u64);
+                clock.lap(s);
             }
         }
-        // Scopes on a shard worker thread are inert even while enabled:
-        // the main thread's enclosing section scope already accounts for
-        // the worker's wall time, so a worker-side scope would be a
+        // Scopes and clocks on a shard worker thread are inert even while
+        // enabled: the main thread's enclosing section already accounts
+        // for the worker's wall time, so a worker-side one would be a
         // double count.
         set_worker_thread(true);
         {
             let _p = scope(Phase::RouterPipeline);
+            step_clock().lap(Phase::RouterPipeline);
         }
         set_worker_thread(false);
         crate::set_enabled(false);
@@ -252,6 +302,13 @@ mod tests {
         let pipeline = snap.iter().find(|s| s.phase == "router_pipeline").expect("present");
         assert_eq!(pipeline.calls, 1, "worker-thread scope must not record");
         assert!(total.nanos > 0);
+        // The laps tile the chain up to the last one; the total runs to
+        // the drop, a read later.
+        let sections: u64 = Phase::STEP_SECTIONS
+            .iter()
+            .map(|p| snap.iter().find(|s| s.phase == p.name()).expect("present").nanos)
+            .sum();
+        assert!(sections <= total.nanos, "sections {sections} ns exceed the step {total:?}");
         let cov = coverage().expect("step profiled");
         assert!(cov > 0.0 && cov <= 1.0, "coverage {cov} out of range");
         reset();

@@ -24,9 +24,13 @@ use mira::experiments::common::{run_arch, RunResult, EXPERIMENT_SEED};
 use mira::experiments::quick_sim_config;
 use mira::noc::anomaly::AnomalyConfig;
 use mira::noc::fault::FaultConfig;
+use mira_noc::flit::FlitData;
+use mira_noc::packet::PacketSpec;
 use mira_noc::telemetry::TelemetryConfig;
-use mira_noc::traffic::{PayloadProfile, UniformRandom};
+use mira_noc::traffic::{PayloadProfile, UniformRandom, Workload};
 use mira_noc::SimConfig;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 /// One pinned design point.
@@ -277,6 +281,112 @@ fn sharded_points_match_golden_bits() {
         for p in pts.iter().take(8).step_by(2) {
             let r = run_point_sharded(p, AnomalyConfig::disabled(), shards);
             assert_matches_golden(p, &r);
+        }
+    }
+}
+
+/// Uniform-random traffic whose flits are re-drawn 1 to 8 words wide,
+/// each with 1 to all of its words active. Before cycle `mixed_from`
+/// every width is 1, 2, 4 or 8, so each active-layer fraction is a
+/// multiple of 1/8 and the N-shard engine counts the activity sums as
+/// integer tallies; from then on any width 1–8 may come, and the first
+/// 3-, 5-, 6- or 7-word flit switches the network to the ordered replay.
+struct WidthMix {
+    inner: UniformRandom,
+    rng: SmallRng,
+    mixed_from: u64,
+}
+
+impl Workload for WidthMix {
+    fn init(&mut self, num_nodes: usize) {
+        self.inner.init(num_nodes);
+    }
+
+    fn generate(&mut self, cycle: u64) -> Vec<PacketSpec> {
+        let mut specs = self.inner.generate(cycle);
+        for flit in specs.iter_mut().flat_map(|s| s.payload.iter_mut()) {
+            let words = if cycle < self.mixed_from {
+                [1, 2, 4, 8][self.rng.gen_range(0..4usize)]
+            } else {
+                self.rng.gen_range(1..=8usize)
+            };
+            *flit = FlitData::with_active_words(words, self.rng.gen_range(1..=words));
+        }
+        specs
+    }
+}
+
+/// One run of the untraced shard matrix: a design point under a
+/// telemetry configuration, rendered as the exact `SimReport` JSON plus
+/// the IEEE-754 power bits.
+fn untraced_json(
+    arch: Arch,
+    layer_shutdown: bool,
+    workload: Box<dyn Workload>,
+    cfg: SimConfig,
+) -> String {
+    let r = run_arch(arch, layer_shutdown, workload, cfg);
+    let pinned = (r.avg_power_w.to_bits(), r.pdp.to_bits(), &r.report);
+    serde_json::to_string_pretty(&pinned).expect("report serializes")
+}
+
+/// The configuration users actually shard — journeys and traces off,
+/// as perfbench and the exhibit binaries run — is bit-identical at 1,
+/// 2, 4 and 8 shards. The golden recipe turns journeys on, which keeps
+/// every N-shard run on the ordered replay; this matrix covers the
+/// integer-tally path instead: every golden point with telemetry off,
+/// plus three points of its own — layer shutdown with 1/2/4/8-word
+/// flits (fractional k/8 tallies throughout), the same with widths
+/// mixing 1–8 words from cycle 800 (the exact-sum flag clears mid-run),
+/// and the 1/2/4/8-word point with metrics windows on (each shard writes
+/// its routers' occupancy rows in the fused dispatch).
+#[test]
+fn untraced_reports_identical_across_shard_counts() {
+    let width_mix = |mixed_from: u64| -> Box<dyn Workload> {
+        Box::new(WidthMix {
+            inner: UniformRandom::new(0.25, 5, EXPERIMENT_SEED),
+            rng: SmallRng::seed_from_u64(EXPERIMENT_SEED),
+            mixed_from,
+        })
+    };
+    type Run = Box<dyn Fn(usize) -> String>;
+    let mut runs: Vec<(String, Run)> = Vec::new();
+    for p in points() {
+        let name = p.name.to_string();
+        runs.push((
+            name,
+            Box::new(move |shards| {
+                let mut cfg = quick_sim_config().with_shards(shards);
+                if let Some(f) = p.faults {
+                    cfg = cfg.with_faults(f);
+                }
+                let mut w = UniformRandom::new(p.rate, 5, EXPERIMENT_SEED);
+                if p.short > 0.0 {
+                    w = w.with_payload(PayloadProfile::with_short_fraction(4, p.short));
+                }
+                untraced_json(p.arch, p.short > 0.0, Box::new(w), cfg)
+            }),
+        ));
+    }
+    let metrics = TelemetryConfig { metrics_window: 500, ..TelemetryConfig::default() };
+    for (name, mixed_from, telemetry) in [
+        ("3DM_ur025_words_1248", u64::MAX, TelemetryConfig::default()),
+        ("3DM_ur025_words_mixed", 800, TelemetryConfig::default()),
+        ("3DM_ur025_words_1248_metrics", u64::MAX, metrics),
+    ] {
+        runs.push((
+            name.to_string(),
+            Box::new(move |shards| {
+                let cfg = quick_sim_config().with_telemetry(telemetry).with_shards(shards);
+                untraced_json(Arch::ThreeDM, true, width_mix(mixed_from), cfg)
+            }),
+        ));
+    }
+    for (name, run) in &runs {
+        let one = run(1);
+        assert!(one.contains("\"packets_ejected\""), "{name}: report rendered");
+        for shards in [2usize, 4, 8] {
+            assert!(run(shards) == one, "{name}: {shards}-shard report differs from one shard");
         }
     }
 }
