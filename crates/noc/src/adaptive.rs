@@ -266,7 +266,10 @@ mod tests {
                     }
                     let mut dead = vec![false; topo.radix()];
                     dead[c[0].index()] = true;
-                    assert!(apply_fault_mask(&mut c, &dead), "{model}: mask must report removal");
+                    assert!(
+                        apply_fault_mask(&mut c, |p| dead[p]),
+                        "{model}: mask must report removal"
+                    );
                     assert!(!c.is_empty());
                     let before = topo.min_hops(src, dst);
                     for p in c {

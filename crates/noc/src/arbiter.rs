@@ -13,10 +13,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// Grants are fair: after granting line `i`, line `i+1` has the highest
 /// priority on the next arbitration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Both fields are bytes, so an arbiter is two bytes wide and sits inside
+/// the router's per-VC and per-port records (DESIGN.md §14) rather than
+/// in an array of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRobinArbiter {
-    size: usize,
-    next_priority: usize,
+    size: u8,
+    next_priority: u8,
 }
 
 impl RoundRobinArbiter {
@@ -24,15 +28,30 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero.
+    /// Panics if `size` is zero or above 255.
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "arbiter must have at least one request line");
+        let size = u8::try_from(size).expect("arbiter supports at most 255 request lines");
         RoundRobinArbiter { size, next_priority: 0 }
     }
 
     /// Number of request lines (the `n` of an `n:1` arbiter).
     pub fn size(&self) -> usize {
-        self.size
+        usize::from(self.size)
+    }
+
+    /// The line with the highest priority on the next arbitration.
+    pub fn next_priority(&self) -> usize {
+        usize::from(self.next_priority)
+    }
+
+    /// Makes `line` the highest-priority line; the next grant is the
+    /// first requesting line at or after it.
+    #[inline]
+    fn grant(&mut self, line: usize) -> usize {
+        let next = line + 1;
+        self.next_priority = if next == self.size() { 0 } else { next as u8 };
+        line
     }
 
     /// Arbitrates among the requests selected by `requesting` and returns
@@ -43,14 +62,11 @@ impl RoundRobinArbiter {
     where
         F: Fn(usize) -> bool,
     {
-        for offset in 0..self.size {
-            let line = (self.next_priority + offset) % self.size;
-            if requesting(line) {
-                self.next_priority = (line + 1) % self.size;
-                return Some(line);
-            }
-        }
-        None
+        let (size, start) = (self.size(), self.next_priority());
+        (0..size)
+            .map(|offset| (start + offset) % size)
+            .find(|&l| requesting(l))
+            .map(|l| self.grant(l))
     }
 
     /// Arbitrates among an explicit list of requesting line indices.
@@ -71,19 +87,19 @@ impl RoundRobinArbiter {
     /// `size` are ignored.
     #[inline]
     pub fn arbitrate_mask(&mut self, mask: u64) -> Option<usize> {
-        debug_assert!(self.size <= 64, "mask arbitration supports at most 64 lines");
-        let mask = if self.size < 64 { mask & ((1u64 << self.size) - 1) } else { mask };
+        let size = self.size();
+        debug_assert!(size <= 64, "mask arbitration supports at most 64 lines");
+        let mask = if size < 64 { mask & ((1u64 << size) - 1) } else { mask };
         if mask == 0 {
             return None;
         }
         let shifted = mask >> self.next_priority;
         let line = if shifted != 0 {
-            self.next_priority + shifted.trailing_zeros() as usize
+            self.next_priority() + shifted.trailing_zeros() as usize
         } else {
             mask.trailing_zeros() as usize
         };
-        self.next_priority = (line + 1) % self.size;
-        Some(line)
+        Some(self.grant(line))
     }
 }
 
@@ -139,5 +155,11 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_size_panics() {
         let _ = RoundRobinArbiter::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255")]
+    fn oversized_arbiter_panics() {
+        let _ = RoundRobinArbiter::new(256);
     }
 }

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::NocError;
+use crate::shard::MAX_SHARDS;
 
 /// Router pipeline depth (paper Fig. 8(a)–(c)).
 ///
@@ -149,8 +150,9 @@ impl NetworkConfig {
     /// # Errors
     ///
     /// Returns [`NocError::InvalidConfig`] when a parameter is zero, when
-    /// the flit width is not a whole number of 32-bit words, or when the
-    /// layer count does not divide the word count.
+    /// the flit width is not a whole number of 32-bit words, when the
+    /// layer count does not divide the word count, or when the buffer is
+    /// deeper than 255 flits.
     pub fn validate(&self) -> Result<(), NocError> {
         if self.flit_bits == 0 || !self.flit_bits.is_multiple_of(crate::flit::WORD_BITS) {
             return Err(NocError::InvalidConfig {
@@ -178,10 +180,12 @@ impl NetworkConfig {
                 reason: "must be at least 1".into(),
             });
         }
-        if self.router.buffer_depth == 0 {
+        if !(1..=255).contains(&self.router.buffer_depth) {
+            // The router's VC records hold FIFO positions and credits as
+            // bytes (DESIGN.md §14).
             return Err(NocError::InvalidConfig {
                 parameter: "buffer_depth",
-                reason: "must be at least 1".into(),
+                reason: format!("must be in 1..=255 (got {})", self.router.buffer_depth),
             });
         }
         Ok(())
@@ -274,8 +278,8 @@ impl NetworkConfigBuilder {
 /// The process-wide default shard count of the cycle engine (DESIGN.md
 /// §18), from the `MIRA_SHARDS` environment variable. Unset, blank or
 /// `0` mean 1 — every phase on the calling thread. Any other value that
-/// is not a shard count (`two`, `-1`) panics with a message naming the
-/// variable and the value. Cached on first read: tests that need a
+/// is not a shard count (`two`, `-1`) or exceeds the engine's cap of 64
+/// shards panics with a message naming the variable and the value. Cached on first read: tests that need a
 /// specific count use `SimConfig::with_shards` or `Network::set_shards`
 /// instead of mutating the environment.
 pub fn shards_from_env() -> usize {
@@ -291,9 +295,13 @@ fn parse_shards(raw: Option<&str>) -> Result<usize, String> {
     let Some(v) = raw.map(str::trim).filter(|v| !v.is_empty()) else {
         return Ok(1);
     };
-    v.parse::<usize>().map(|n| n.max(1)).map_err(|_| {
+    let n = v.parse::<usize>().map_err(|_| {
         format!("MIRA_SHARDS={v:?} is not a shard count (expects an integer >= 0; 0 means 1)")
-    })
+    })?;
+    if n > MAX_SHARDS {
+        return Err(format!("MIRA_SHARDS={v:?} exceeds the engine's {MAX_SHARDS}-shard cap"));
+    }
+    Ok(n.max(1))
 }
 
 #[cfg(test)]
@@ -307,6 +315,18 @@ mod tests {
         }
         assert_eq!(parse_shards(Some("1")), Ok(1));
         assert_eq!(parse_shards(Some(" 4 ")), Ok(4));
+        assert_eq!(parse_shards(Some("64")), Ok(MAX_SHARDS));
+    }
+
+    #[test]
+    fn shard_counts_above_the_cap_are_rejected_not_clamped() {
+        for raw in ["65", "1000"] {
+            let err = parse_shards(Some(raw)).expect_err(raw);
+            assert!(
+                err.contains("MIRA_SHARDS") && err.contains(raw) && err.contains("64"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -373,6 +393,13 @@ mod tests {
     #[test]
     fn zero_depth_rejected() {
         let err = NetworkConfig::builder().buffer_depth(0).try_build().unwrap_err();
+        assert!(matches!(err, NocError::InvalidConfig { parameter: "buffer_depth", .. }));
+    }
+
+    #[test]
+    fn depth_beyond_a_byte_rejected() {
+        assert!(NetworkConfig::builder().buffer_depth(255).try_build().is_ok());
+        let err = NetworkConfig::builder().buffer_depth(256).try_build().unwrap_err();
         assert!(matches!(err, NocError::InvalidConfig { parameter: "buffer_depth", .. }));
     }
 }

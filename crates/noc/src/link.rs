@@ -11,23 +11,27 @@
 //! the datapath (paper §3.2.3); the slice accounting happens in the
 //! activity counters, keyed by the per-flit active-layer fraction.
 //!
-//! Since the data-oriented core rewrite (DESIGN.md §14) the wire carries
-//! [`FlitRef`] arena indices, not owned flits — sending a flit moves a
-//! 4-byte index. The only place a link clones payloads is the ARQ
+//! A wire carries each flit's [`FlitHeader`] by value (with the
+//! [`crate::arena::FlitRef`] of the full flit inside it), so a hop never
+//! reads the arena. The wires of every link live in one flat
+//! [`WireTable`] of fixed-capacity rings, kept apart from the cold
+//! [`Link`] fields (endpoints, length, ARQ state): link delivery walks
+//! dense ring metadata, and a ring's length is its wire's in-flight count
+//! (DESIGN.md §14, §18). The only place a link clones payloads is the ARQ
 //! retransmit window, which by design must hold a pristine copy that
 //! survives corruption of the in-flight original; ARQ is off unless
 //! fault injection enables it, so the default path stays copy-free.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::ptr::addr_of_mut;
 
-use crate::arena::{FlitArena, FlitRef};
+use crate::arena::FlitArena;
+use crate::buffer::{ring_index, FlitHeader};
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::packet::PacketId;
 
-/// A flit in flight on a link.
+/// A flit in flight on a link: its header and delivery cycle (32 bytes).
 ///
 /// # Invariant
 ///
@@ -36,21 +40,13 @@ use crate::packet::PacketId;
 /// overflow. Simulations run for at most a few billion cycles, so the
 /// counter stays far below `u64::MAX`; the checked arithmetic turns a
 /// hypothetical wrap (which would silently violate the FIFO ordering
-/// below) into a panic at the injection seam.
-#[derive(Debug, Clone, Copy)]
+/// of a wire) into a panic at the injection seam.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlitInFlight {
+    /// The flit's header; its `vc` is the downstream input VC.
+    pub hdr: FlitHeader,
     /// Cycle at which the flit becomes visible to the downstream router.
     pub deliver_at: u64,
-    /// Downstream input VC the flit was allocated to.
-    pub vc: VcId,
-    /// Link-level sequence number stamped by the sender-side
-    /// retransmission logic (0 when ARQ is off).
-    pub seq: u64,
-    /// Sender-computed slice parity ([`crate::flit::FlitData::slice_parity`]);
-    /// only meaningful when ARQ is on.
-    pub parity: u8,
-    /// Arena reference to the flit itself.
-    pub flit: FlitRef,
 }
 
 /// A credit return in flight on a link (towards the upstream router).
@@ -64,13 +60,14 @@ pub struct CreditInFlight {
 
 /// One unacknowledged flit held by the sender-side retransmit buffer.
 ///
-/// The window owns a full [`Flit`] copy rather than a [`FlitRef`]: a
-/// resend must replay the *pristine* payload even after the in-flight
-/// original was corrupted, delivered, or freed.
+/// The window owns a full [`Flit`] copy rather than an arena reference:
+/// a resend must replay the *pristine* payload even after the in-flight
+/// original was corrupted, delivered, or freed. It also keeps the header
+/// the flit was sent with (hop count and downstream VC included).
 #[derive(Debug, Clone)]
 struct ArqEntry {
     seq: u64,
-    vc: VcId,
+    hdr: FlitHeader,
     flit: Flit,
 }
 
@@ -82,7 +79,9 @@ struct ArqEntry {
 /// and, after a bounded exponential backoff, the *whole* window is
 /// resent in order — which is what keeps the wire a FIFO and makes
 /// duplicates impossible (each sequence number is on the wire at most
-/// once).
+/// once). Every delivered flit is acknowledged or NACKed on the spot, so
+/// the flit at the front of the wire is always the window's front entry,
+/// which is where the receiver reads its sequence number.
 #[derive(Debug, Clone)]
 struct LinkArq {
     window: VecDeque<ArqEntry>,
@@ -97,7 +96,9 @@ struct LinkArq {
     latency: u64,
 }
 
-/// One unidirectional link between two router ports.
+/// One unidirectional link between two router ports: the cold fields.
+/// Its two wires live in the network's [`WireTable`], at the link's
+/// index.
 #[derive(Debug, Clone)]
 pub struct Link {
     /// Upstream endpoint: (router, output port).
@@ -106,26 +107,25 @@ pub struct Link {
     pub to: (NodeId, PortId),
     /// Physical wire length in millimetres (drives power/delay models).
     pub length_mm: f64,
-    flits: VecDeque<FlitInFlight>,
-    credits: VecDeque<CreditInFlight>,
     /// Retransmission state, boxed and absent unless fault injection
     /// enables it — the default path carries only a null pointer.
     arq: Option<Box<LinkArq>>,
 }
 
 impl Link {
-    /// Creates an empty link.
+    /// Creates a link; its wires are the [`WireTable`] entry of the same
+    /// index.
     pub fn new(from: (NodeId, PortId), to: (NodeId, PortId), length_mm: f64) -> Self {
-        Link { from, to, length_mm, flits: VecDeque::new(), credits: VecDeque::new(), arq: None }
+        Link { from, to, length_mm, arq: None }
     }
 
     /// Computes the delivery cycle `cycle + 1 + extra`, panicking on
     /// `u64` overflow instead of silently wrapping.
     ///
     /// A wrapped `deliver_at` would schedule a flit in the distant past
-    /// and corrupt the FIFO invariant of [`Link::send_flit`]; every
-    /// scheduled delivery (switch traversal and ARQ resend alike) goes
-    /// through this check.
+    /// and corrupt the FIFO invariant of a wire; every scheduled
+    /// delivery (switch traversal and ARQ resend alike) goes through
+    /// this check.
     pub fn delivery_cycle(cycle: u64, extra: u64) -> u64 {
         cycle
             .checked_add(Link::nominal_latency(extra))
@@ -134,9 +134,9 @@ impl Link {
 
     /// Fault-free sender-to-receiver latency in cycles for a link with
     /// `extra` additional LT cycles: `1 + extra`. This is the latency the
-    /// ARQ retransmitter replays at and the budget the journey recorder
+    /// ARQ retransmitter replays at, the budget the journey recorder
     /// charges to plain link traversal (anything beyond it is ARQ replay
-    /// time).
+    /// time), and the most flits a fault-free wire ever holds.
     pub const fn nominal_latency(extra: u64) -> u64 {
         1 + extra
     }
@@ -158,8 +158,8 @@ impl Link {
         self.arq.is_some()
     }
 
-    /// Sends the flit at `fref` downstream, to be delivered at
-    /// `deliver_at`. Ownership of the reference moves to the link (and
+    /// Sends the flit `hdr` describes down `wire`, to be delivered at
+    /// `deliver_at`. Ownership of its arena slot moves to the link (and
     /// back out through [`Link::take_due_flit`]).
     ///
     /// Delivery times must be non-decreasing across calls (links are
@@ -168,27 +168,44 @@ impl Link {
     /// on, a NACK purges the wire before any resend is pushed, and new
     /// sends during a pending resend go to the window only, so the
     /// invariant survives retransmission too.
-    pub fn send_flit(&mut self, arena: &mut FlitArena, fref: FlitRef, vc: VcId, deliver_at: u64) {
-        let (seq, parity) = match &mut self.arq {
-            None => (0, 0),
-            Some(a) => {
-                let seq = a.next_seq;
-                a.next_seq += 1;
-                let flit = arena.get(fref);
-                let parity = flit.data.slice_parity();
-                a.window.push_back(ArqEntry { seq, vc, flit: flit.clone() });
-                if a.resend_at.is_some() {
-                    // A resend is scheduled: the wire was purged and
-                    // will be repopulated (including this flit) when
-                    // the backoff expires. Pushing now would deliver
-                    // this flit ahead of its predecessors.
-                    arena.free(fref);
-                    return;
-                }
-                (seq, parity)
+    pub(crate) fn send_flit(
+        &mut self,
+        arena: &mut FlitArena,
+        wire: &mut Wire<'_>,
+        hdr: FlitHeader,
+        deliver_at: u64,
+    ) {
+        if let Some(a) = &mut self.arq {
+            let seq = a.next_seq;
+            a.next_seq += 1;
+            a.window.push_back(ArqEntry { seq, hdr, flit: arena.get(hdr.fref).clone() });
+            if a.resend_at.is_some() {
+                // A resend is scheduled: the wire was purged and will be
+                // repopulated (including this flit) when the backoff
+                // expires. Pushing now would deliver this flit ahead of
+                // its predecessors.
+                arena.free(hdr.fref);
+                return;
             }
-        };
-        push_flit(&mut self.flits, FlitInFlight { deliver_at, vc, seq, parity, flit: fref });
+        }
+        wire.push_flit(FlitInFlight { hdr, deliver_at });
+    }
+
+    /// Removes and returns the next flit due on `wire` at or before
+    /// `cycle`, with the link-level sequence number ARQ stamped on it (0
+    /// when ARQ is off).
+    pub(crate) fn take_due_flit(
+        &self,
+        wire: &mut Wire<'_>,
+        cycle: u64,
+    ) -> Option<(FlitInFlight, u64)> {
+        let f = wire.take_due_flit(cycle)?;
+        let seq = self.arq.as_ref().map_or(0, |a| {
+            let e = a.window.front().expect("an ARQ wire carries only window entries");
+            debug_assert_eq!(e.hdr.packet, f.hdr.packet, "wire front is not the window front");
+            e.seq
+        });
+        Some((f, seq))
     }
 
     /// Cumulative acknowledgement: drops every retransmit-window entry
@@ -204,16 +221,20 @@ impl Link {
     }
 
     /// Negative acknowledgement: the receiver detected corruption.
-    /// Purges the physical wire (go-back-N: everything after the bad
-    /// flit is dropped and will be resent in order; their arena slots
-    /// are freed — the window clones are authoritative) and schedules a
-    /// full-window resend after an exponential backoff capped at 64
-    /// cycles. Returns the consecutive-retry count for the current
-    /// window head.
-    pub fn arq_nack(&mut self, cycle: u64, arena: &mut FlitArena) -> u32 {
+    /// Purges `wire` (go-back-N: everything after the bad flit is dropped
+    /// and will be resent in order; their arena slots are freed — the
+    /// window clones are authoritative) and schedules a full-window
+    /// resend after an exponential backoff capped at 64 cycles. Returns
+    /// the consecutive-retry count for the current window head.
+    pub(crate) fn arq_nack(
+        &mut self,
+        wire: &mut Wire<'_>,
+        cycle: u64,
+        arena: &mut FlitArena,
+    ) -> u32 {
         let a = self.arq.as_mut().expect("NACK on a link without ARQ");
-        for f in self.flits.drain(..) {
-            arena.free(f.flit);
+        while let Some(f) = wire.flit_ring.pop(wire.flits) {
+            arena.free(f.hdr.fref);
         }
         a.retries += 1;
         let backoff = 1u64 << a.retries.min(6);
@@ -228,11 +249,11 @@ impl Link {
     /// downstream buffer slots those flits reserved will never fill).
     pub fn arq_drop_front_packet(&mut self) -> Option<(PacketId, Vec<VcId>)> {
         let a = self.arq.as_mut()?;
-        let pid = a.window.front()?.flit.packet;
+        let pid = a.window.front()?.hdr.packet;
         let mut vcs = Vec::new();
         a.window.retain(|e| {
-            if e.flit.packet == pid {
-                vcs.push(e.vc);
+            if e.hdr.packet == pid {
+                vcs.push(e.hdr.vc());
                 false
             } else {
                 true
@@ -246,25 +267,25 @@ impl Link {
     }
 
     /// Executes a due scheduled resend: pushes every window entry back
-    /// onto the wire in order (re-allocating each pristine copy into
-    /// the arena). Returns the number of flits resent (0 when no resend
-    /// was due).
-    pub fn arq_service(&mut self, cycle: u64, arena: &mut FlitArena) -> u64 {
+    /// onto `wire` in order (re-allocating each pristine copy into the
+    /// arena, with the header it was sent with). Returns the number of
+    /// flits resent (0 when no resend was due).
+    pub(crate) fn arq_service(
+        &mut self,
+        wire: &mut Wire<'_>,
+        cycle: u64,
+        arena: &mut FlitArena,
+    ) -> u64 {
         let Some(a) = &mut self.arq else { return 0 };
         if a.resend_at.is_none_or(|at| at > cycle) {
             return 0;
         }
         a.resend_at = None;
-        debug_assert!(self.flits.is_empty(), "wire must be purged before a resend");
+        debug_assert!(wire.flits() == 0, "wire must be purged before a resend");
         let deliver_at = Link::delivery_cycle(cycle, a.latency - 1);
         for e in &a.window {
-            self.flits.push_back(FlitInFlight {
-                deliver_at,
-                vc: e.vc,
-                seq: e.seq,
-                parity: e.flit.data.slice_parity(),
-                flit: arena.alloc(e.flit.clone()),
-            });
+            let hdr = FlitHeader { fref: arena.alloc(e.flit.clone()), ..e.hdr };
+            wire.push_flit(FlitInFlight { hdr, deliver_at });
         }
         a.window.len() as u64
     }
@@ -281,201 +302,382 @@ impl Link {
         self.arq.as_ref().map_or(0, |a| a.window.len())
     }
 
-    /// Permanently kills the link: purges the wire and the retransmit
+    /// Permanently kills the link: purges `wire` and the retransmit
     /// window (freeing the arena slots of everything on the wire),
     /// returning the `(packet, downstream VC)` of every lost
     /// unacknowledged flit so the caller can account the drops. With
     /// ARQ on, the window is a superset of the wire, so the returned
     /// list covers every in-flight flit exactly once.
-    pub fn kill(&mut self, arena: &mut FlitArena) -> Vec<(PacketId, VcId)> {
+    pub(crate) fn kill(
+        &mut self,
+        wire: &mut Wire<'_>,
+        arena: &mut FlitArena,
+    ) -> Vec<(PacketId, VcId)> {
         let mut lost: Vec<(PacketId, VcId)> = Vec::new();
-        match &mut self.arq {
-            Some(a) => {
-                lost.extend(a.window.drain(..).map(|e| (e.flit.packet, e.vc)));
-                a.resend_at = None;
-                a.retries = 0;
-            }
-            None => lost.extend(self.flits.iter().map(|f| (arena.get(f.flit).packet, f.vc))),
+        if let Some(a) = &mut self.arq {
+            lost.extend(a.window.drain(..).map(|e| (e.hdr.packet, e.hdr.vc())));
+            a.resend_at = None;
+            a.retries = 0;
         }
-        for f in self.flits.drain(..) {
-            arena.free(f.flit);
+        while let Some(f) = wire.flit_ring.pop(wire.flits) {
+            if self.arq.is_none() {
+                lost.push((f.hdr.packet, f.hdr.vc()));
+            }
+            arena.free(f.hdr.fref);
         }
         lost
     }
 
-    /// Sends a credit upstream, to be delivered at `deliver_at`.
-    pub fn send_credit(&mut self, vc: VcId, deliver_at: u64) {
-        self.credits.push_back(CreditInFlight { deliver_at, vc });
-    }
-
-    /// Removes and returns the next flit due at or before `cycle`.
-    pub fn take_due_flit(&mut self, cycle: u64) -> Option<FlitInFlight> {
-        pop_due(&mut self.flits, cycle, |f| f.deliver_at)
-    }
-
-    /// Removes and returns the next credit due at or before `cycle`.
-    pub fn take_due_credit(&mut self, cycle: u64) -> Option<CreditInFlight> {
-        pop_due(&mut self.credits, cycle, |c| c.deliver_at)
-    }
-
-    /// Number of flits currently in flight. With ARQ on this is the
-    /// unacknowledged window (a superset of the wire: a NACK moves
-    /// flits off the wire but they remain logically in flight at the
-    /// sender's retransmit buffer until acknowledged).
-    pub fn flits_in_flight(&self) -> usize {
+    /// Number of flits in flight, given the link's [`WireTable`]. With
+    /// ARQ on this is the unacknowledged window (a superset of the wire:
+    /// a NACK moves flits off the wire but they remain logically in
+    /// flight at the sender's retransmit buffer until acknowledged).
+    pub(crate) fn flits_in_flight(&self, wires: &WireTable, li: usize) -> usize {
         match &self.arq {
             Some(a) => a.window.len(),
-            None => self.flits.len(),
+            None => wires.flits(li),
         }
     }
 
-    /// Number of credit returns currently in flight (the flight
-    /// recorder's wire-state dump).
-    pub fn credits_in_flight(&self) -> usize {
-        self.credits.len()
-    }
-
-    /// Returns `true` if no flits or credits are in flight and (with
-    /// ARQ) no flit awaits acknowledgement or resend.
-    pub fn is_quiescent(&self) -> bool {
-        self.flits.is_empty()
-            && self.credits.is_empty()
+    /// Returns `true` if no flits or credits are in flight on the
+    /// link's wires (entry `li` of `wires`) and (with ARQ) no flit
+    /// awaits acknowledgement or resend.
+    pub(crate) fn is_quiescent(&self, wires: &WireTable, li: usize) -> bool {
+        wires.flits(li) == 0
+            && wires.credits(li) == 0
             && self.arq.as_ref().is_none_or(|a| a.window.is_empty() && a.resend_at.is_none())
     }
 }
 
-/// Appends `f` to a flit wire, checking the FIFO invariant of
-/// [`Link::send_flit`] in debug builds.
-fn push_flit(wire: &mut VecDeque<FlitInFlight>, f: FlitInFlight) {
-    debug_assert!(wire.back().is_none_or(|b| b.deliver_at <= f.deliver_at), "link is not a FIFO");
-    wire.push_back(f);
+/// Head slot and length of one wire's ring; the length is the wire's
+/// in-flight count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Ring {
+    head: u16,
+    len: u16,
 }
 
-/// Pops the front of `wire` when it is due at or before `cycle`.
-fn pop_due<T>(wire: &mut VecDeque<T>, cycle: u64, due: impl Fn(&T) -> u64) -> Option<T> {
-    if wire.front().is_some_and(|x| due(x) <= cycle) {
-        wire.pop_front()
-    } else {
-        None
-    }
-}
-
-/// The number of flits and of credits on each link's two wires, kept
-/// beside the link table and updated by every push and pop, so link
-/// delivery skips an empty wire without touching its [`Link`]. A count
-/// is written by the one shard that owns its wire in the phase at hand,
-/// exactly like the wire itself.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct WireLoad {
-    flits: Vec<u32>,
-    credits: Vec<u32>,
-}
-
-impl WireLoad {
-    /// The counts of `links` as they stand.
-    pub(crate) fn of(links: &[Link]) -> Self {
-        let mut load = WireLoad { flits: vec![0; links.len()], credits: vec![0; links.len()] };
-        for (li, l) in links.iter().enumerate() {
-            load.sync(li, l);
-        }
-        load
-    }
-
-    /// Re-reads both counts of link `li` from its wires: the update for
-    /// paths that push or pop through `Link` itself (the one-shard
-    /// sends, whose ARQ may swallow a flit, and the fault layer).
+impl Ring {
     #[inline]
-    pub(crate) fn sync(&mut self, li: usize, link: &Link) {
-        self.flits[li] = link.flits.len() as u32;
-        self.credits[li] = link.credits.len() as u32;
+    fn len(self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// The `k`-th entry from the front of the ring over `slots`.
+    #[inline]
+    fn get<T>(self, slots: &[T], k: usize) -> &T {
+        &slots[ring_index(usize::from(self.head), k, slots.len())]
+    }
+
+    /// Appends `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ring is full: capacities are the flow-control
+    /// bounds of a wire, so an overflow is a flow-control bug, exactly
+    /// like a router buffer overflow.
+    #[inline]
+    fn push<T>(&mut self, slots: &mut [T], v: T) {
+        assert!(self.len() < slots.len(), "wire ring overflow: flow control is broken");
+        slots[ring_index(usize::from(self.head), self.len(), slots.len())] = v;
+        self.len += 1;
+    }
+
+    /// Removes and returns the front entry.
+    #[inline]
+    fn pop<T: Copy>(&mut self, slots: &[T]) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        let v = slots[usize::from(self.head)];
+        self.head = ring_index(usize::from(self.head), 1, slots.len()) as u16;
+        self.len -= 1;
+        Some(v)
+    }
+
+    /// Removes and returns the front entry when `due` says it is due.
+    #[inline]
+    fn pop_due<T: Copy>(&mut self, slots: &[T], due: impl Fn(&T) -> bool) -> Option<T> {
+        if self.len == 0 || !due(self.get(slots, 0)) {
+            return None;
+        }
+        self.pop(slots)
     }
 }
 
-/// Field-level access to a link table during a sharded phase
+/// Every link's two wires, as one flat table of fixed-capacity rings:
+/// link `li`'s flit ring holds slots `li*flit_cap .. (li+1)*flit_cap` of
+/// one entry array, its credit ring the same stretch of another, and the
+/// ring heads and lengths sit in two dense arrays of their own.
+///
+/// Capacities come from the configuration: a fault-free flit wire holds
+/// at most `1 + LT` flits (one send per cycle, each due `1 + LT` cycles
+/// later) and a credit wire one credit (one per cycle, due the next).
+/// With ARQ a resend replays a whole window onto the wire, and credit
+/// conservation bounds both wires by `vcs × depth`
+/// ([`WireTable::resize`]). A push past capacity panics.
+#[derive(Debug, Clone)]
+pub(crate) struct WireTable {
+    flit_cap: usize,
+    credit_cap: usize,
+    flit_rings: Box<[Ring]>,
+    credit_rings: Box<[Ring]>,
+    flits: Box<[FlitInFlight]>,
+    credits: Box<[CreditInFlight]>,
+}
+
+/// A placeholder for unused flit ring slots.
+const NO_FLIT: FlitInFlight = FlitInFlight { hdr: FlitHeader::EMPTY, deliver_at: 0 };
+/// A placeholder for unused credit ring slots.
+const NO_CREDIT: CreditInFlight = CreditInFlight { deliver_at: 0, vc: VcId(0) };
+
+impl WireTable {
+    /// Empty wires for `links` links, holding up to `flit_cap` flits and
+    /// `credit_cap` credits per wire.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a capacity is zero or above `u16::MAX`.
+    pub fn new(links: usize, flit_cap: usize, credit_cap: usize) -> Self {
+        for cap in [flit_cap, credit_cap] {
+            assert!((1..=usize::from(u16::MAX)).contains(&cap), "wire capacity {cap} out of range");
+        }
+        WireTable {
+            flit_cap,
+            credit_cap,
+            flit_rings: vec![Ring::default(); links].into_boxed_slice(),
+            credit_rings: vec![Ring::default(); links].into_boxed_slice(),
+            flits: vec![NO_FLIT; links * flit_cap].into_boxed_slice(),
+            credits: vec![NO_CREDIT; links * credit_cap].into_boxed_slice(),
+        }
+    }
+
+    /// Rebuilds the table with new capacities, keeping every wire's
+    /// contents in order (fault injection widens the rings to its ARQ
+    /// bound).
+    pub fn resize(&mut self, flit_cap: usize, credit_cap: usize) {
+        let mut next = WireTable::new(self.links(), flit_cap, credit_cap);
+        for li in 0..self.links() {
+            let (from, mut to) = (self.wire(li), next.wire(li));
+            while let Some(f) = from.flit_ring.pop(from.flits) {
+                to.push_flit(f);
+            }
+            while let Some(c) = from.credit_ring.pop(from.credits) {
+                to.credit_ring.push(to.credits, c);
+            }
+        }
+        *self = next;
+    }
+
+    /// The number of links.
+    pub fn links(&self) -> usize {
+        self.flit_rings.len()
+    }
+
+    /// Flits on link `li`'s wire.
+    #[inline]
+    pub fn flits(&self, li: usize) -> usize {
+        self.flit_rings[li].len()
+    }
+
+    /// Credits on link `li`'s credit wire.
+    #[inline]
+    pub fn credits(&self, li: usize) -> usize {
+        self.credit_rings[li].len()
+    }
+
+    /// The flits on link `li`'s wire, front first.
+    pub fn flits_on(&self, li: usize) -> impl Iterator<Item = &FlitInFlight> {
+        let ring = self.flit_rings[li];
+        let slots = &self.flits[li * self.flit_cap..(li + 1) * self.flit_cap];
+        (0..ring.len()).map(move |k| ring.get(slots, k))
+    }
+
+    /// Both wires of link `li`.
+    pub fn wire(&mut self, li: usize) -> Wire<'_> {
+        let (fc, cc) = (self.flit_cap, self.credit_cap);
+        Wire {
+            flit_ring: &mut self.flit_rings[li],
+            flits: &mut self.flits[li * fc..(li + 1) * fc],
+            credit_ring: &mut self.credit_rings[li],
+            credits: &mut self.credits[li * cc..(li + 1) * cc],
+        }
+    }
+
+    /// Panics unless every ring holds at most its capacity and its
+    /// flits and credits are in non-decreasing `deliver_at` order (the
+    /// FIFO invariant link delivery relies on).
+    pub fn assert_consistent(&self) {
+        for li in 0..self.links() {
+            let (f, c) = (self.flit_rings[li], self.credit_rings[li]);
+            assert!(f.len() <= self.flit_cap, "link {li}: flit ring over capacity");
+            assert!(c.len() <= self.credit_cap, "link {li}: credit ring over capacity");
+            assert!(usize::from(f.head) < self.flit_cap && usize::from(c.head) < self.credit_cap);
+            let due: Vec<u64> = self.flits_on(li).map(|x| x.deliver_at).collect();
+            assert!(due.is_sorted(), "link {li}: flit wire out of order {due:?}");
+            let slots = &self.credits[li * self.credit_cap..(li + 1) * self.credit_cap];
+            let due: Vec<u64> = (0..c.len()).map(|k| c.get(slots, k).deliver_at).collect();
+            assert!(due.is_sorted(), "link {li}: credit wire out of order {due:?}");
+        }
+    }
+}
+
+/// Both wires of one link, borrowed from the [`WireTable`].
+#[derive(Debug)]
+pub(crate) struct Wire<'a> {
+    flit_ring: &'a mut Ring,
+    flits: &'a mut [FlitInFlight],
+    credit_ring: &'a mut Ring,
+    credits: &'a mut [CreditInFlight],
+}
+
+impl Wire<'_> {
+    /// Flits on the wire.
+    pub fn flits(&self) -> usize {
+        self.flit_ring.len()
+    }
+
+    /// Pushes `f` onto the flit wire (no ARQ involved; see
+    /// [`Link::send_flit`]).
+    #[inline]
+    pub fn push_flit(&mut self, f: FlitInFlight) {
+        push_flit(self.flit_ring, self.flits, f);
+    }
+
+    /// Removes and returns the next flit due at or before `cycle`.
+    #[inline]
+    pub fn take_due_flit(&mut self, cycle: u64) -> Option<FlitInFlight> {
+        self.flit_ring.pop_due(self.flits, |f| f.deliver_at <= cycle)
+    }
+
+    /// Sends a credit upstream, to be delivered at `deliver_at`.
+    #[inline]
+    pub fn send_credit(&mut self, vc: VcId, deliver_at: u64) {
+        self.credit_ring.push(self.credits, CreditInFlight { deliver_at, vc });
+    }
+
+    /// Removes and returns the next credit due at or before `cycle`.
+    #[inline]
+    pub fn take_due_credit(&mut self, cycle: u64) -> Option<CreditInFlight> {
+        self.credit_ring.pop_due(self.credits, |c| c.deliver_at <= cycle)
+    }
+}
+
+/// Appends `f` to a flit ring, checking the FIFO invariant of
+/// [`Link::send_flit`] in debug builds.
+#[inline]
+fn push_flit(ring: &mut Ring, slots: &mut [FlitInFlight], f: FlitInFlight) {
+    debug_assert!(
+        ring.len == 0 || ring.get(slots, ring.len() - 1).deliver_at <= f.deliver_at,
+        "link is not a FIFO"
+    );
+    ring.push(slots, f);
+}
+
+/// Wire-level access to the wire table during a sharded phase
 /// (DESIGN.md §18).
 ///
 /// Every link has two wires — flits downstream, credits upstream — and
 /// in each sharded phase each wire has exactly one producer or consumer
 /// shard, but the two wires of one link may belong to different shards.
-/// A sharded phase therefore never holds a `&Link`, `&mut Link` or
-/// `&[Link]`; it reaches each wire through a raw field pointer instead.
-/// The endpoints and length are never written while this handle lives
-/// (it is built from an exclusive borrow of the table), so reading them
-/// is safe. Touching a wire is `unsafe`: the caller must be the wire's
-/// sole user in the current phase. The wire's [`WireLoad`] count goes
-/// with it, so an empty wire is skipped without reading its `Link`.
+/// A sharded phase therefore never holds a `&WireTable` or `&mut
+/// WireTable`; it reaches each wire's ring through raw pointers instead,
+/// one wire at a time. The [`Link`] table itself is only read in a
+/// sharded phase (endpoints and lengths), so it is shared. Touching a
+/// wire is `unsafe`: the caller must be the wire's sole user in the
+/// current phase.
 #[derive(Clone, Copy)]
 pub(crate) struct LinkWires<'a> {
-    base: *mut Link,
-    len: usize,
-    flits: *mut u32,
-    credits: *mut u32,
-    _links: PhantomData<&'a mut [Link]>,
+    links: &'a [Link],
+    flit_cap: usize,
+    credit_cap: usize,
+    flit_rings: *mut Ring,
+    credit_rings: *mut Ring,
+    flits: *mut FlitInFlight,
+    credits: *mut CreditInFlight,
+    _wires: PhantomData<&'a mut WireTable>,
 }
 
-// SAFETY: `base` and `len` describe a table, and `flits`/`credits` its
-// two count columns, exclusively borrowed for `'a`; `Link` is `Send`.
-// On its own the handle only reads the immutable endpoint and length
-// fields; every wire or count access is an `unsafe` method whose caller
-// guarantees that one thread owns the wire for the phase.
+// SAFETY: the pointers describe a wire table exclusively borrowed for
+// `'a`, and its entries are plain `Copy` data. On its own the handle only
+// reads the shared link table; every ring access is an `unsafe` method
+// whose caller guarantees that one thread owns the wire for the phase.
 unsafe impl Send for LinkWires<'_> {}
 // SAFETY: as for `Send`.
 unsafe impl Sync for LinkWires<'_> {}
 
 impl<'a> LinkWires<'a> {
-    /// A handle over `links` and their counts, exclusively borrowed for
-    /// `'a`.
-    pub(crate) fn new(links: &'a mut [Link], load: &'a mut WireLoad) -> Self {
-        assert!(
-            load.flits.len() == links.len() && load.credits.len() == links.len(),
-            "wire counts do not match the link table"
-        );
+    /// A handle over `links` and their wires, borrowed for `'a`.
+    pub(crate) fn new(links: &'a [Link], wires: &'a mut WireTable) -> Self {
+        assert_eq!(links.len(), wires.links(), "wire table does not match the link table");
         LinkWires {
-            base: links.as_mut_ptr(),
-            len: links.len(),
-            flits: load.flits.as_mut_ptr(),
-            credits: load.credits.as_mut_ptr(),
-            _links: PhantomData,
+            links,
+            flit_cap: wires.flit_cap,
+            credit_cap: wires.credit_cap,
+            flit_rings: wires.flit_rings.as_mut_ptr(),
+            credit_rings: wires.credit_rings.as_mut_ptr(),
+            flits: wires.flits.as_mut_ptr(),
+            credits: wires.credits.as_mut_ptr(),
+            _wires: PhantomData,
         }
     }
 
-    fn link(self, li: usize) -> *mut Link {
-        assert!(li < self.len, "link {li} out of range");
-        // SAFETY: `li` is in bounds of the table `base` points to.
-        unsafe { self.base.add(li) }
-    }
-
-    /// The flit count of link `li`.
-    fn flit_count(self, li: usize) -> *mut u32 {
-        assert!(li < self.len, "link {li} out of range");
-        // SAFETY: `li` is in bounds of the count column.
-        unsafe { self.flits.add(li) }
-    }
-
-    /// The credit count of link `li`.
-    fn credit_count(self, li: usize) -> *mut u32 {
-        assert!(li < self.len, "link {li} out of range");
-        // SAFETY: `li` is in bounds of the count column.
-        unsafe { self.credits.add(li) }
-    }
-
     /// Upstream endpoint of link `li`.
+    #[inline]
     pub(crate) fn from(self, li: usize) -> (NodeId, PortId) {
-        // SAFETY: a field read through a raw place (no `&Link` is made);
-        // `from` is never written while the table is borrowed by `self`.
-        unsafe { (*self.link(li)).from }
+        self.links[li].from
     }
 
     /// Downstream endpoint of link `li`.
+    #[inline]
     pub(crate) fn to(self, li: usize) -> (NodeId, PortId) {
-        // SAFETY: as for `from`.
-        unsafe { (*self.link(li)).to }
+        self.links[li].to
     }
 
     /// Length of link `li` in millimetres.
+    #[inline]
     pub(crate) fn length_mm(self, li: usize) -> f64 {
-        // SAFETY: as for `from`.
-        unsafe { (*self.link(li)).length_mm }
+        self.links[li].length_mm
+    }
+
+    /// The flit ring of link `li` and its slots.
+    ///
+    /// # Safety
+    ///
+    /// The calling thread must be the only one touching the flit wire of
+    /// `li` until the next barrier, and must drop the borrows before it.
+    #[inline]
+    unsafe fn flit_wire(self, li: usize) -> (&'a mut Ring, &'a mut [FlitInFlight]) {
+        assert!(li < self.links.len(), "link {li} out of range");
+        // SAFETY: `li` is in bounds of the ring array and its slot
+        // stretch of the entry array; the two borrows cover only wire
+        // `li`, which the caller owns.
+        unsafe {
+            (
+                &mut *self.flit_rings.add(li),
+                std::slice::from_raw_parts_mut(self.flits.add(li * self.flit_cap), self.flit_cap),
+            )
+        }
+    }
+
+    /// The credit ring of link `li` and its slots.
+    ///
+    /// # Safety
+    ///
+    /// As for [`LinkWires::flit_wire`], for the credit wire.
+    #[inline]
+    unsafe fn credit_wire(self, li: usize) -> (&'a mut Ring, &'a mut [CreditInFlight]) {
+        assert!(li < self.links.len(), "link {li} out of range");
+        // SAFETY: as for `flit_wire`.
+        unsafe {
+            (
+                &mut *self.credit_rings.add(li),
+                std::slice::from_raw_parts_mut(
+                    self.credits.add(li * self.credit_cap),
+                    self.credit_cap,
+                ),
+            )
+        }
     }
 
     /// Sends a flit down link `li` (the fault-free path: links of a
@@ -485,16 +687,12 @@ impl<'a> LinkWires<'a> {
     ///
     /// The calling thread must be the only one touching the flit wire
     /// of `li` until the next barrier.
-    pub(crate) unsafe fn send_flit(self, li: usize, fref: FlitRef, vc: VcId, deliver_at: u64) {
-        let l = self.link(li);
-        // SAFETY: `arq` is never written while the table is borrowed.
-        debug_assert!(unsafe { (*l).arq.is_none() }, "sharded send on an ARQ link");
-        // SAFETY: the caller owns the flit wire; the borrow covers only
-        // that field, so a concurrent user of the credit wire is disjoint.
-        let wire = unsafe { &mut *addr_of_mut!((*l).flits) };
-        push_flit(wire, FlitInFlight { deliver_at, vc, seq: 0, parity: 0, flit: fref });
-        // SAFETY: the caller owns the flit wire, and so its count.
-        unsafe { *self.flit_count(li) += 1 };
+    #[inline]
+    pub(crate) unsafe fn send_flit(self, li: usize, f: FlitInFlight) {
+        debug_assert!(!self.links[li].arq_enabled(), "sharded send on an ARQ link");
+        // SAFETY: the caller owns the flit wire.
+        let (ring, slots) = unsafe { self.flit_wire(li) };
+        push_flit(ring, slots, f);
     }
 
     /// Removes and returns the next flit due on link `li` at or before
@@ -503,17 +701,11 @@ impl<'a> LinkWires<'a> {
     /// # Safety
     ///
     /// As for [`LinkWires::send_flit`].
+    #[inline]
     pub(crate) unsafe fn take_due_flit(self, li: usize, cycle: u64) -> Option<FlitInFlight> {
-        // SAFETY: the caller owns the flit wire, and so its count.
-        let count = unsafe { &mut *self.flit_count(li) };
-        if *count == 0 {
-            return None;
-        }
-        // SAFETY: the caller owns the flit wire (field-level borrow).
-        let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).flits) };
-        let f = pop_due(wire, cycle, |f| f.deliver_at)?;
-        *count -= 1;
-        Some(f)
+        // SAFETY: the caller owns the flit wire.
+        let (ring, slots) = unsafe { self.flit_wire(li) };
+        ring.pop_due(slots, |f| f.deliver_at <= cycle)
     }
 
     /// Sends a credit up link `li`.
@@ -522,12 +714,11 @@ impl<'a> LinkWires<'a> {
     ///
     /// The calling thread must be the only one touching the credit wire
     /// of `li` until the next barrier.
+    #[inline]
     pub(crate) unsafe fn send_credit(self, li: usize, vc: VcId, deliver_at: u64) {
-        // SAFETY: the caller owns the credit wire (field-level borrow).
-        let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).credits) };
-        wire.push_back(CreditInFlight { deliver_at, vc });
-        // SAFETY: the caller owns the credit wire, and so its count.
-        unsafe { *self.credit_count(li) += 1 };
+        // SAFETY: the caller owns the credit wire.
+        let (ring, slots) = unsafe { self.credit_wire(li) };
+        ring.push(slots, CreditInFlight { deliver_at, vc });
     }
 
     /// Removes and returns the next credit due on link `li` at or before
@@ -536,23 +727,18 @@ impl<'a> LinkWires<'a> {
     /// # Safety
     ///
     /// As for [`LinkWires::send_credit`].
+    #[inline]
     pub(crate) unsafe fn take_due_credit(self, li: usize, cycle: u64) -> Option<CreditInFlight> {
-        // SAFETY: the caller owns the credit wire, and so its count.
-        let count = unsafe { &mut *self.credit_count(li) };
-        if *count == 0 {
-            return None;
-        }
-        // SAFETY: the caller owns the credit wire (field-level borrow).
-        let wire = unsafe { &mut *addr_of_mut!((*self.link(li)).credits) };
-        let c = pop_due(wire, cycle, |c| c.deliver_at)?;
-        *count -= 1;
-        Some(c)
+        // SAFETY: the caller owns the credit wire.
+        let (ring, slots) = unsafe { self.credit_wire(li) };
+        ring.pop_due(slots, |c| c.deliver_at <= cycle)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::FlitRef;
     use crate::flit::{FlitData, FlitKind};
     use crate::packet::{PacketClass, PacketId};
 
@@ -570,59 +756,117 @@ mod tests {
         }
     }
 
-    fn mk_link() -> Link {
-        Link::new((NodeId(0), PortId(1)), (NodeId(1), PortId(2)), 3.1)
+    /// One link with wires of capacity 8, and an arena.
+    struct One {
+        l: Link,
+        w: WireTable,
+        a: FlitArena,
     }
 
-    fn send(l: &mut Link, a: &mut FlitArena, flit: Flit, vc: VcId, deliver_at: u64) {
-        let fref = a.alloc(flit);
-        l.send_flit(a, fref, vc, deliver_at);
+    impl One {
+        fn new() -> Self {
+            let l = Link::new((NodeId(0), PortId(1)), (NodeId(1), PortId(2)), 3.1);
+            One { l, w: WireTable::new(1, 8, 8), a: FlitArena::new() }
+        }
+
+        fn send(&mut self, flit: Flit, vc: VcId, deliver_at: u64) {
+            let fref = self.a.alloc(flit);
+            let hdr = FlitHeader::of(fref, self.a.get(fref), vc);
+            self.l.send_flit(&mut self.a, &mut self.w.wire(0), hdr, deliver_at);
+        }
+
+        fn take(&mut self, cycle: u64) -> Option<(FlitInFlight, u64)> {
+            self.l.take_due_flit(&mut self.w.wire(0), cycle)
+        }
+
+        fn quiescent(&self) -> bool {
+            self.l.is_quiescent(&self.w, 0)
+        }
     }
 
     #[test]
     fn flit_delivery_respects_time() {
-        let mut a = FlitArena::new();
-        let mut l = mk_link();
-        send(&mut l, &mut a, mk_flit(), VcId(0), 5);
-        assert!(l.take_due_flit(4).is_none());
-        let f = l.take_due_flit(5).expect("flit is due at its delivery cycle");
-        assert_eq!(f.vc, VcId(0));
-        assert!(a.is_live(f.flit), "delivered ref is live until the receiver consumes it");
-        assert!(l.take_due_flit(6).is_none());
+        let mut o = One::new();
+        o.send(mk_flit(), VcId(0), 5);
+        assert!(o.take(4).is_none());
+        let (f, seq) = o.take(5).expect("flit is due at its delivery cycle");
+        assert_eq!((f.hdr.vc(), seq), (VcId(0), 0));
+        assert!(o.a.is_live(f.hdr.fref), "delivered ref is live until the receiver consumes it");
+        assert!(o.take(6).is_none());
     }
 
     #[test]
     fn credit_delivery_respects_time() {
-        let mut l = mk_link();
-        l.send_credit(VcId(1), 3);
-        assert!(l.take_due_credit(2).is_none());
-        assert_eq!(l.take_due_credit(3), Some(CreditInFlight { deliver_at: 3, vc: VcId(1) }));
+        let mut w = WireTable::new(1, 1, 1);
+        w.wire(0).send_credit(VcId(1), 3);
+        assert_eq!(w.credits(0), 1);
+        assert!(w.wire(0).take_due_credit(2).is_none());
+        assert_eq!(
+            w.wire(0).take_due_credit(3),
+            Some(CreditInFlight { deliver_at: 3, vc: VcId(1) })
+        );
+        assert_eq!(w.credits(0), 0);
     }
 
     #[test]
     fn quiescence() {
-        let mut a = FlitArena::new();
-        let mut l = mk_link();
-        assert!(l.is_quiescent());
-        send(&mut l, &mut a, mk_flit(), VcId(0), 1);
-        assert!(!l.is_quiescent());
-        assert_eq!(l.flits_in_flight(), 1);
-        let _ = l.take_due_flit(1);
-        assert!(l.is_quiescent());
+        let mut o = One::new();
+        assert!(o.quiescent());
+        o.send(mk_flit(), VcId(0), 1);
+        assert!(!o.quiescent());
+        assert_eq!(o.l.flits_in_flight(&o.w, 0), 1);
+        let _ = o.take(1);
+        assert!(o.quiescent());
     }
 
     #[test]
     fn fifo_order_preserved() {
-        let mut a = FlitArena::new();
-        let mut l = mk_link();
+        let mut o = One::new();
         let mut f0 = mk_flit();
         f0.seq = 0;
         let mut f1 = mk_flit();
         f1.seq = 1;
-        send(&mut l, &mut a, f0, VcId(0), 2);
-        send(&mut l, &mut a, f1, VcId(0), 3);
-        assert_eq!(a.get(l.take_due_flit(3).expect("first flit is due").flit).seq, 0);
-        assert_eq!(a.get(l.take_due_flit(3).expect("second flit is due").flit).seq, 1);
+        o.send(f0, VcId(0), 2);
+        o.send(f1, VcId(0), 3);
+        let first = o.take(3).expect("first flit is due").0;
+        assert_eq!(o.a.get(first.hdr.fref).seq, 0);
+        let second = o.take(3).expect("second flit is due").0;
+        assert_eq!(o.a.get(second.hdr.fref).seq, 1);
+    }
+
+    /// Rings wrap around their slots; each link's ring is its own, and
+    /// a resize keeps every wire's contents in order.
+    #[test]
+    fn rings_wrap_and_resize_in_order() {
+        let mut w = WireTable::new(2, 2, 1);
+        let f = |n: u32, at: u64| FlitInFlight {
+            hdr: FlitHeader { fref: FlitRef(n), ..FlitHeader::EMPTY },
+            deliver_at: at,
+        };
+        for round in 0..5u32 {
+            let at = u64::from(round) * 2;
+            w.wire(1).push_flit(f(2 * round, at));
+            w.wire(1).push_flit(f(2 * round + 1, at + 1));
+            assert_eq!(w.wire(1).take_due_flit(at).map(|x| x.hdr.fref), Some(FlitRef(2 * round)));
+            assert!(w.wire(1).take_due_flit(at).is_none(), "the second is not due yet");
+            let second = w.wire(1).take_due_flit(at + 1).map(|x| x.hdr.fref);
+            assert_eq!(second, Some(FlitRef(2 * round + 1)));
+        }
+        w.wire(1).push_flit(f(99, 20));
+        assert_eq!((w.flits(0), w.flits(1)), (0, 1));
+        w.wire(1).send_credit(VcId(1), 7);
+        w.resize(4, 3);
+        w.assert_consistent();
+        assert_eq!(w.flits_on(1).map(|x| x.hdr.fref).collect::<Vec<_>>(), vec![FlitRef(99)]);
+        assert_eq!(w.wire(1).take_due_credit(7).map(|c| c.vc), Some(VcId(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "wire ring overflow")]
+    fn ring_overflow_panics() {
+        let mut w = WireTable::new(1, 1, 1);
+        w.wire(0).send_credit(VcId(0), 1);
+        w.wire(0).send_credit(VcId(0), 1);
     }
 
     #[test]
@@ -638,87 +882,101 @@ mod tests {
     }
 
     #[test]
-    fn arq_stamps_sequence_numbers_and_parity() {
-        let mut ar = FlitArena::new();
-        let mut l = mk_link();
-        l.enable_arq(1);
-        send(&mut l, &mut ar, mk_flit(), VcId(0), 1);
-        send(&mut l, &mut ar, mk_flit(), VcId(1), 2);
-        let a = l.take_due_flit(1).expect("first ARQ flit is due");
-        let b = l.take_due_flit(2).expect("second ARQ flit is due");
-        assert_eq!((a.seq, b.seq), (0, 1));
-        assert_eq!(a.parity, ar.get(a.flit).data.slice_parity());
-        assert_eq!(l.arq_window_len(), 2, "unacked flits stay in the window");
-        l.arq_ack(0);
-        assert_eq!(l.arq_window_len(), 1);
-        l.arq_ack(1);
-        assert!(l.is_quiescent());
+    fn arq_stamps_sequence_numbers() {
+        let mut o = One::new();
+        o.l.enable_arq(1);
+        o.send(mk_flit(), VcId(0), 1);
+        o.send(mk_flit(), VcId(1), 2);
+        let (a, sa) = o.take(1).expect("first ARQ flit is due");
+        assert_eq!((a.hdr.vc(), sa), (VcId(0), 0));
+        assert_eq!(o.l.arq_window_len(), 2, "unacked flits stay in the window");
+        o.l.arq_ack(sa);
+        let (b, sb) = o.take(2).expect("second ARQ flit is due");
+        assert_eq!((b.hdr.vc(), sb), (VcId(1), 1));
+        assert_eq!(o.l.arq_window_len(), 1);
+        o.l.arq_ack(sb);
+        assert!(o.quiescent());
     }
 
     #[test]
     fn nack_purges_wire_and_resend_replays_in_order() {
-        let mut ar = FlitArena::new();
-        let mut l = mk_link();
-        l.enable_arq(1);
+        let mut o = One::new();
+        o.l.enable_arq(1);
         let mut f0 = mk_flit();
         f0.seq = 10;
         let mut f1 = mk_flit();
         f1.seq = 11;
-        send(&mut l, &mut ar, f0, VcId(0), 5);
-        send(&mut l, &mut ar, f1, VcId(0), 6);
-        let retries = l.arq_nack(5, &mut ar);
+        o.send(f0, VcId(0), 5);
+        o.send(f1, VcId(0), 6);
+        let retries = o.l.arq_nack(&mut o.w.wire(0), 5, &mut o.a);
         assert_eq!(retries, 1);
-        assert!(l.take_due_flit(100).is_none(), "wire was purged");
-        assert_eq!(ar.allocated(), 0, "purged wire refs were freed");
-        assert!(l.arq_resend_pending());
-        assert!(!l.is_quiescent(), "unacked flits keep the link busy");
+        assert!(o.take(100).is_none(), "wire was purged");
+        assert_eq!(o.a.allocated(), 0, "purged wire refs were freed");
+        assert!(o.l.arq_resend_pending());
+        assert!(!o.quiescent(), "unacked flits keep the link busy");
         // A new send during backoff must not jump the queue.
         let mut f2 = mk_flit();
         f2.seq = 12;
-        send(&mut l, &mut ar, f2, VcId(0), 6);
-        assert!(l.take_due_flit(100).is_none(), "send during backoff rides the resend");
-        assert_eq!(ar.allocated(), 0, "backoff send is swallowed into the window");
+        f2.hops = 4;
+        o.send(f2, VcId(0), 6);
+        assert!(o.take(100).is_none(), "send during backoff rides the resend");
+        assert_eq!(o.a.allocated(), 0, "backoff send is swallowed into the window");
         // Backoff = 1 << 1 = 2 cycles: due at cycle 5 + 1 + 2 = 8.
-        assert_eq!(l.arq_service(7, &mut ar), 0, "not due yet");
-        assert_eq!(l.arq_service(8, &mut ar), 3, "whole window resent");
-        let seqs: Vec<u64> = std::iter::from_fn(|| l.take_due_flit(100))
-            .map(|f| ar.get(f.flit).seq as u64)
-            .collect();
-        assert_eq!(seqs, vec![10, 11, 12], "resend preserves order");
+        assert_eq!(o.l.arq_service(&mut o.w.wire(0), 7, &mut o.a), 0, "not due yet");
+        assert_eq!(o.l.arq_service(&mut o.w.wire(0), 8, &mut o.a), 3, "whole window resent");
+        let mut seqs = Vec::new();
+        while let Some((f, seq)) = o.take(100) {
+            seqs.push((o.a.get(f.hdr.fref).seq, seq, f.hdr.hops));
+            o.l.arq_ack(seq);
+        }
+        assert_eq!(
+            seqs,
+            vec![(10, 0, 0), (11, 1, 0), (12, 2, 4)],
+            "resend keeps order and headers"
+        );
     }
 
     #[test]
     fn drop_front_packet_strips_the_window() {
-        let mut ar = FlitArena::new();
-        let mut l = mk_link();
-        l.enable_arq(1);
+        let mut o = One::new();
+        o.l.enable_arq(1);
         let mut f0 = mk_flit();
         f0.packet = PacketId(1);
         let mut other = mk_flit();
         other.packet = PacketId(2);
         let mut f1 = mk_flit();
         f1.packet = PacketId(1);
-        send(&mut l, &mut ar, f0, VcId(0), 1);
-        send(&mut l, &mut ar, other, VcId(1), 2);
-        send(&mut l, &mut ar, f1, VcId(0), 3);
-        l.arq_nack(3, &mut ar);
-        let (pid, vcs) = l.arq_drop_front_packet().expect("the NACKed window holds a packet");
+        o.send(f0, VcId(0), 1);
+        o.send(other, VcId(1), 2);
+        o.send(f1, VcId(0), 3);
+        o.l.arq_nack(&mut o.w.wire(0), 3, &mut o.a);
+        let (pid, vcs) = o.l.arq_drop_front_packet().expect("the NACKed window holds a packet");
         assert_eq!(pid, PacketId(1));
         assert_eq!(vcs, vec![VcId(0), VcId(0)], "both entries of the packet stripped");
-        assert_eq!(l.arq_window_len(), 1, "the other packet survives");
-        assert!(l.arq_resend_pending(), "survivors still get resent");
+        assert_eq!(o.l.arq_window_len(), 1, "the other packet survives");
+        assert!(o.l.arq_resend_pending(), "survivors still get resent");
     }
 
     #[test]
     fn kill_returns_every_unacked_flit_once() {
-        let mut ar = FlitArena::new();
-        let mut l = mk_link();
-        l.enable_arq(1);
-        send(&mut l, &mut ar, mk_flit(), VcId(0), 1);
-        send(&mut l, &mut ar, mk_flit(), VcId(1), 2);
-        let _ = l.take_due_flit(1); // one delivered but not acked
-        let lost = l.kill(&mut ar);
+        let mut o = One::new();
+        o.l.enable_arq(1);
+        o.send(mk_flit(), VcId(0), 1);
+        o.send(mk_flit(), VcId(1), 2);
+        let (f, _) = o.take(1).expect("due"); // delivered but not acked
+        o.a.free(f.hdr.fref);
+        let lost = o.l.kill(&mut o.w.wire(0), &mut o.a);
         assert_eq!(lost.len(), 2, "window covers wire and delivered-unacked alike");
-        assert!(l.is_quiescent());
+        assert_eq!(o.a.allocated(), 0, "the wire's refs were freed");
+        assert!(o.quiescent());
+    }
+
+    #[test]
+    fn kill_without_arq_loses_the_wire() {
+        let mut o = One::new();
+        o.send(mk_flit(), VcId(1), 1);
+        let lost = o.l.kill(&mut o.w.wire(0), &mut o.a);
+        assert_eq!(lost, vec![(PacketId(1), VcId(1))]);
+        assert!(o.quiescent());
     }
 }

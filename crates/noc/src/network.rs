@@ -16,7 +16,7 @@ use crate::error::NocError;
 use crate::fault::{FaultConfig, FaultCounters, FaultPlan, Verdict};
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::{Link, WireLoad};
+use crate::link::{Link, WireTable};
 use crate::packet::{Packet, PacketId};
 use crate::router::{EjectedFlit, Router};
 use crate::shard::{accept_credit, accept_flit, ShardRuntime, Sinks, MAX_SHARDS};
@@ -136,7 +136,7 @@ impl FaultRuntime {
 }
 
 /// Host-side high-water marks of the network's core data structures
-/// (arena and router buffer slabs). Maintained unconditionally — a
+/// (arena and router buffers). Maintained unconditionally — a
 /// compare and a store on paths that already mutate the structures —
 /// and read only by the observability layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -155,8 +155,9 @@ pub struct Network {
     cfg: NetworkConfig,
     routers: Vec<Router>,
     links: Vec<Link>,
-    /// Flits and credits on each link's wires.
-    load: WireLoad,
+    /// Every link's flit and credit wire, as one flat ring table (a
+    /// ring's length is its wire's in-flight count).
+    wires: WireTable,
     nics: Vec<Nic>,
     /// The single flit store: every flit anywhere in the network (source
     /// queues, router buffers, link wires) lives in one slot here and
@@ -239,6 +240,7 @@ impl Network {
         // slot full) plus headroom for wires and source queues; it still
         // grows on demand past this.
         let fabric_slots = n * radix * vcs * cfg.router.buffer_depth;
+        let flit_cap = Link::nominal_latency(cfg.router.pipeline.link_extra_cycles()) as usize;
         let shards = shards.clamp(1, n.min(MAX_SHARDS));
         let rt = ShardRuntime::new(shards, n, &links, radix, vcs, cfg.router.buffer_depth);
         Network {
@@ -246,7 +248,7 @@ impl Network {
             topo,
             cfg,
             routers,
-            load: WireLoad::of(&links),
+            wires: WireTable::new(links.len(), flit_cap, 1),
             links,
             nics: (0..n).map(|_| Nic::new(vcs)).collect(),
             ejected: Vec::new(),
@@ -267,9 +269,10 @@ impl Network {
     /// globally ordered effect replays in canonical order — the run
     /// stays bit-identical at any shard count. One shard (`shards <= 1`)
     /// runs every phase on the calling thread, applying effects in
-    /// place. The count is clamped to the router count and an internal
-    /// cap. Fault-injection runs step every phase inline whatever the
-    /// count.
+    /// place. A shard owns at least one router, so the count is clamped
+    /// to the router count (a 2×2 mesh runs on at most 4 shards), and to
+    /// the internal cap of 64 that `MIRA_SHARDS` already enforces.
+    /// Fault-injection runs step every phase inline whatever the count.
     pub fn set_shards(&mut self, shards: usize) {
         let n = self.routers.len();
         let shards = shards.clamp(1, n.min(MAX_SHARDS));
@@ -312,10 +315,15 @@ impl Network {
             self.links.iter().map(|l| (l.from.0.index(), l.from.1.index())).collect();
         let words = (self.cfg.flit_bits / 32).max(1);
         let plan = FaultPlan::compile(cfg, &endpoints, words)?;
-        let latency = 1 + self.cfg.router.pipeline.link_extra_cycles();
+        let latency = Link::nominal_latency(self.cfg.router.pipeline.link_extra_cycles());
         for l in &mut self.links {
             l.enable_arq(latency);
         }
+        // Credit conservation bounds a port's unacknowledged flits, and
+        // its credits in flight, by `vcs × depth`; an ARQ resend can put
+        // the whole window on the wire at once.
+        let window = self.cfg.router.vcs_per_port * self.cfg.router.buffer_depth;
+        self.wires.resize(window.max(latency as usize), window);
         if cfg.reroute {
             for r in &mut self.routers {
                 r.set_fault_routing(true);
@@ -490,7 +498,7 @@ impl Network {
             cfg,
             routers,
             links,
-            load,
+            wires,
             nics,
             arena,
             ejected,
@@ -522,9 +530,9 @@ impl Network {
         // fault layer when fault injection is engaged.
         match faults.as_deref_mut() {
             Some(fr) => {
-                fault_link_phase(fr, routers, activity, links, load, &mut out, cfg.layer_shutdown)
+                fault_link_phase(fr, routers, activity, links, wires, &mut out, cfg.layer_shutdown)
             }
-            None => rt.deliver_links(routers, activity, links, load, &mut out),
+            None => rt.deliver_links(routers, activity, links, wires, &mut out),
         }
         clock.lap(ObsPhase::LinkDelivery);
 
@@ -541,7 +549,7 @@ impl Network {
         // pipeline latch, keeping wormhole streaming gapless.
         out.faults = faults.as_deref_mut();
         let rows = metrics.as_mut().map(MetricsCollector::occupancy_rows);
-        rt.step_nodes(routers, activity, links, load, nics, rows, &**topo, &mut out, inline);
+        rt.step_nodes(routers, activity, links, wires, nics, rows, &**topo, &mut out, inline);
         clock.lap(ObsPhase::RouterPipeline);
 
         // 3. Close a metrics window on its boundary cycle.
@@ -583,7 +591,12 @@ impl Network {
     /// source queues.
     pub fn flits_in_fabric(&self) -> usize {
         self.routers.iter().map(Router::buffered_flits).sum::<usize>()
-            + self.links.iter().map(Link::flits_in_flight).sum::<usize>()
+            + self
+                .links
+                .iter()
+                .enumerate()
+                .map(|(li, l)| l.flits_in_flight(&self.wires, li))
+                .sum::<usize>()
     }
 
     /// Flits waiting in source queues.
@@ -591,16 +604,18 @@ impl Network {
         self.nics.iter().map(Nic::queued).sum()
     }
 
-    /// Runs [`Router::assert_worklists_consistent`] on every router and
-    /// checks that the per-wire and per-NIC counts link delivery and
-    /// injection skip by match the wires and queues — the active-set
+    /// Runs [`Router::assert_worklists_consistent`] on every router (work
+    /// lists, credits, output-VC ownership), checks every wire ring
+    /// (within capacity, in delivery order) and that each NIC's queued
+    /// count matches its queues — the
     /// invariant check the property-test suite applies after every
-    /// simulated cycle.
+    /// simulated cycle. It walks the whole fabric, so it stays out of
+    /// the step loop.
     pub fn assert_worklists_consistent(&self) {
         for r in &self.routers {
             r.assert_worklists_consistent();
         }
-        assert!(self.load == WireLoad::of(&self.links), "wire counts drifted from the wires");
+        self.wires.assert_consistent();
         for (node, nic) in self.nics.iter().enumerate() {
             let queued: usize = nic.queues.iter().map(VecDeque::len).sum();
             assert_eq!(nic.queued, queued, "NIC {node}: queued count drifted from its queues");
@@ -611,7 +626,7 @@ impl Network {
     pub fn is_drained(&self) -> bool {
         self.flits_in_fabric() == 0
             && self.flits_in_source_queues() == 0
-            && self.links.iter().all(Link::is_quiescent)
+            && self.links.iter().enumerate().all(|(li, l)| l.is_quiescent(&self.wires, li))
             && self.routers.iter().all(Router::is_quiescent)
     }
 
@@ -623,6 +638,11 @@ impl Network {
     /// Read access to the links (black-box dumps and tests).
     pub(crate) fn links(&self) -> &[Link] {
         &self.links
+    }
+
+    /// Read access to the links' wires (black-box dumps and tests).
+    pub(crate) fn wires(&self) -> &WireTable {
+        &self.wires
     }
 
     /// An FNV-1a hash over the fabric's structural state: every
@@ -648,9 +668,9 @@ impl Network {
                 feed(w);
             }
         }
-        for l in &self.links {
-            feed(l.flits_in_flight() as u64);
-            feed(l.credits_in_flight() as u64);
+        for (li, l) in self.links.iter().enumerate() {
+            feed(l.flits_in_flight(&self.wires, li) as u64);
+            feed(self.wires.credits(li) as u64);
         }
         h
     }
@@ -692,7 +712,7 @@ fn fault_link_phase(
     routers: &mut [Router],
     activity: &mut [RouterActivity],
     links: &mut [Link],
-    load: &mut WireLoad,
+    wires: &mut WireTable,
     out: &mut Sinks<'_>,
     layer_shutdown: bool,
 ) {
@@ -712,9 +732,10 @@ fn fault_link_phase(
         fr.dead[li] = true;
         fr.counters.links_killed += 1;
         let (node, port) = links[li].from;
-        for (pid, vc) in links[li].kill(out.arena) {
+        let mut wire = wires.wire(li);
+        for (pid, vc) in links[li].kill(&mut wire, out.arena) {
             fr.counters.flits_dropped += 1;
-            links[li].send_credit(vc, Link::delivery_cycle(cycle, 0));
+            wire.send_credit(vc, Link::delivery_cycle(cycle, 0));
             fr.sever(pid, (node, port), out);
         }
         routers[node.index()].on_port_death(port);
@@ -735,13 +756,14 @@ fn fault_link_phase(
     // a pending switch grant; they purge next cycle).
     if !fr.severed.is_empty() {
         for r in routers.iter_mut() {
-            fr.counters.flits_dropped += r.purge_severed(&fr.severed, cycle, out.arena, links);
+            fr.counters.flits_dropped += r.purge_severed(&fr.severed, cycle, out.arena, wires);
         }
     }
 
     // (c) Per link: execute due retransmissions, then deliver.
     for (li, link) in links.iter_mut().enumerate() {
-        let resent = link.arq_service(cycle, out.arena);
+        let mut wire = wires.wire(li);
+        let resent = link.arq_service(&mut wire, cycle, out.arena);
         if resent > 0 {
             fr.counters.retransmissions += resent;
             if traced {
@@ -757,54 +779,54 @@ fn fault_link_phase(
                 });
             }
         }
-        'deliver: while let Some(f) = link.take_due_flit(cycle) {
+        'deliver: while let Some((mut f, seq)) = link.take_due_flit(&mut wire, cycle) {
             let (dst, port) = link.to;
             let upstream = link.from;
-            let pid = out.arena.get(f.flit).packet;
+            let pid = f.hdr.packet;
             if fr.dead[li] || fr.severed.contains(&pid) {
                 // Black hole (the link died under the flit) or a
                 // stub of an already-dropped packet: swallow it,
                 // acknowledge so the window drains, and credit the
                 // reserved slot back.
-                link.arq_ack(f.seq);
+                link.arq_ack(seq);
                 fr.counters.flits_dropped += 1;
-                link.send_credit(f.vc, Link::delivery_cycle(cycle, 0));
-                out.arena.free(f.flit);
+                wire.send_credit(f.hdr.vc(), Link::delivery_cycle(cycle, 0));
+                out.arena.free(f.hdr.fref);
                 if fr.dead[li] {
                     fr.sever(pid, upstream, out);
                 }
                 continue;
             }
-            let (num_words, active_words) = {
-                let data = &out.arena.get(f.flit).data;
-                (data.num_words(), data.active_words())
-            };
-            let verdict =
-                fr.plan.verdict(li, f.seq, cycle, num_words, active_words, layer_shutdown);
+            let (num_words, active_words) = (usize::from(f.hdr.words), usize::from(f.hdr.active));
+            let verdict = fr.plan.verdict(li, seq, cycle, num_words, active_words, layer_shutdown);
             let fault_event = TraceEvent {
                 cycle,
                 router: dst,
                 port,
-                vc: f.vc,
+                vc: f.hdr.vc(),
                 kind: TraceEventKind::FaultInject,
                 packet: pid.0,
                 detail: li as u32,
             };
             match verdict {
-                Verdict::Clean => link.arq_ack(f.seq),
+                Verdict::Clean => link.arq_ack(seq),
                 Verdict::Masked => {
                     // The flip landed on a slice the short-flit
                     // shutdown gated off: never transported, so the
                     // flit arrives pristine.
                     fr.counters.transient_faults += 1;
                     fr.counters.masked += 1;
-                    link.arq_ack(f.seq);
+                    link.arq_ack(seq);
                 }
                 Verdict::Escaped { word, mask } => {
                     fr.counters.transient_faults += 1;
                     fr.counters.escaped += 1;
-                    out.arena.get_mut(f.flit).data.flip_bits(word, mask);
-                    link.arq_ack(f.seq);
+                    // The flipped payload travels on, and so does its
+                    // zero-detector count, which the flip may change.
+                    let flit = out.arena.get_mut(f.hdr.fref);
+                    flit.data.flip_bits(word, mask);
+                    f.hdr.refresh(flit);
+                    link.arq_ack(seq);
                     if traced {
                         out.sink.record(fault_event);
                     }
@@ -825,14 +847,14 @@ fn fault_link_phase(
                     }
                     // The popped copy is discarded (the pristine
                     // window clone replays later); its slot dies here.
-                    out.arena.free(f.flit);
-                    let retries = link.arq_nack(cycle, out.arena);
+                    out.arena.free(f.hdr.fref);
+                    let retries = link.arq_nack(&mut wire, cycle, out.arena);
                     let budget = fr.plan.config().max_retries;
                     if budget > 0 && retries > budget {
                         if let Some((pid, vcs)) = link.arq_drop_front_packet() {
                             fr.counters.flits_dropped += vcs.len() as u64;
                             for vc in vcs {
-                                link.send_credit(vc, Link::delivery_cycle(cycle, 0));
+                                wire.send_credit(vc, Link::delivery_cycle(cycle, 0));
                             }
                             fr.sever(pid, upstream, out);
                             if fr.errors.len() < MAX_FAULT_ERRORS {
@@ -852,13 +874,10 @@ fn fault_link_phase(
             let d = dst.index();
             accept_flit(out, &mut routers[d], &mut activity[d], li as u32, port, &f, cycle);
         }
-        while let Some(c) = link.take_due_credit(cycle) {
+        while let Some(c) = wire.take_due_credit(cycle) {
             let (src, port) = link.from;
             accept_credit(out, &mut routers[src.index()], li as u32, port, c.vc);
         }
-        // Every link passes here after (a) and (b), so this one re-read
-        // covers the kills, purges, resends, NACKs and drops as well.
-        load.sync(li, link);
     }
 
     // (d) Refresh the per-router pause flags: a link replaying its

@@ -28,6 +28,8 @@
 //! or dump path mutates the network, and a disabled config never
 //! constructs a recorder at all.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::anomaly::{
@@ -36,6 +38,7 @@ use crate::anomaly::{
 use crate::flit::FlitKind;
 use crate::journey::PacketJourney;
 use crate::network::Network;
+use crate::router::Router;
 use crate::telemetry::TraceEvent;
 
 /// Schema version stamped into every dump (`docs/blackbox.schema.json`
@@ -214,19 +217,29 @@ pub fn capture(
             r.dump(cycle, c.x as u64, c.y as u64)
         })
         .collect();
+    let wires = net.wires();
     let links = net
         .links()
         .iter()
-        .filter(|l| l.flits_in_flight() > 0 || l.credits_in_flight() > 0)
-        .map(|l| LinkDump {
+        .enumerate()
+        .map(|(li, l)| (l, l.flits_in_flight(wires, li), wires.credits(li)))
+        .filter(|&(_, flits, credits)| flits > 0 || credits > 0)
+        .map(|(l, flits, credits)| LinkDump {
             from_node: l.from.0.index() as u64,
             from_port: l.from.1.index() as u64,
             to_node: l.to.0.index() as u64,
             to_port: l.to.1.index() as u64,
-            flits: l.flits_in_flight() as u64,
-            credits: l.credits_in_flight() as u64,
+            flits: flits as u64,
+            credits: credits as u64,
         })
         .collect();
+    // Hop counts travel in the flit headers of router buffers and wires;
+    // an arena flit's own count is current only until its first hop.
+    let mut hops: HashMap<u32, u16> =
+        net.routers().iter().flat_map(Router::buffered).map(|h| (h.fref.0, h.hops)).collect();
+    hops.extend(
+        (0..wires.links()).flat_map(|li| wires.flits_on(li)).map(|f| (f.hdr.fref.0, f.hdr.hops)),
+    );
     let arena = net
         .arena()
         .iter_live()
@@ -237,7 +250,7 @@ pub fn capture(
             kind: flit_kind_name(f.kind).to_string(),
             src: f.src.index() as u64,
             dst: f.dst.index() as u64,
-            hops: u64::from(f.hops),
+            hops: hops.get(&slot).map_or(u64::from(f.hops), |&h| u64::from(h)),
             age: cycle.saturating_sub(f.created_at),
         })
         .collect();
@@ -532,5 +545,41 @@ mod tests {
         let back: BlackBox = serde_json::from_str(&json).expect("dump round-trips");
         assert_eq!(back.cycle, 7);
         assert_eq!(back.trigger.kind, "no_progress");
+    }
+
+    /// Mid-flight hop counts live in the flit headers of buffers and
+    /// wires (the arena flit's own count is written back only at
+    /// ejection), and the dump reports them from there.
+    #[test]
+    fn capture_reports_hop_counts_of_flits_in_flight() {
+        use crate::flit::FlitData;
+        use crate::ids::NodeId;
+        use crate::packet::{Packet, PacketClass, PacketId};
+        let mut net = Network::new(Box::new(Mesh2D::new(4, 4)), NetworkConfig::default());
+        net.enqueue_packet(Packet {
+            id: PacketId(1),
+            src: NodeId(0),
+            dst: NodeId(15),
+            class: PacketClass::DataResponse,
+            payload: (0..5).map(|_| FlitData::dense(4)).collect(),
+            created_at: 0,
+        });
+        // 4x4 corner to corner is 6 hops of 5 cycles: at cycle 20 the
+        // packet is strung out over several routers.
+        for cycle in 0..20 {
+            net.step(cycle);
+        }
+        assert!(net.take_ejected().is_empty(), "nothing ejects before cycle 30");
+        let trigger = FiredDetector {
+            kind: "no_progress".into(),
+            cycle: 20,
+            detail: "test".into(),
+            stats: WindowStats::default(),
+        };
+        let bb = capture(&net, 20, trigger.clone(), &[trigger], AnomalyCounts::default(), vec![]);
+        let hops: Vec<u64> = bb.arena.iter().map(|s| s.hops).collect();
+        assert_eq!(hops.len(), 5, "every flit of the packet is live");
+        assert!(hops.iter().any(|&h| h >= 2), "the head is hops along: {hops:?}");
+        assert!(hops.windows(2).all(|w| w[0] >= w[1]), "flits trail the head in order: {hops:?}");
     }
 }

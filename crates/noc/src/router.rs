@@ -25,18 +25,23 @@
 //! on the separable datapath carry the flit's active-layer fraction when
 //! short-flit shutdown is enabled (paper §3.2.1).
 //!
-//! # Data-oriented layout (DESIGN.md §14)
+//! # Dense layout (DESIGN.md §14)
 //!
-//! Router state is struct-of-arrays: per-VC pipeline state, serviced
-//! packet, buffered flits, output-VC ownership, and credits all live in
-//! flat arrays keyed by the `(port, vc)` index `pv = port*vcs + vc`.
-//! Flits themselves live in the network's [`FlitArena`]; the router's
-//! buffers hold [`BufSlot`]s (a [`crate::arena::FlitRef`] plus
-//! denormalised header fields), so the allocation stages never chase a
-//! pointer into payload data. The per-cycle transient vectors the
-//! stages need are borrowed from a caller-owned [`StepScratch`] and
-//! reach a steady capacity after warmup — the pipeline allocates
-//! nothing per cycle.
+//! A router's hot state is three compact tables beside a small struct:
+//!
+//! * one 16-byte record per `(port, vc)` pair, keyed by `pv = port*vcs +
+//!   vc`, holding both roles of the pair — as an *input* VC its pipeline
+//!   state, route, FIFO head and length and the packet it services; as
+//!   an *output* VC its owner, downstream credits and VA2 arbiter;
+//! * one 16-byte record per port: link ids, SA1/SA2 arbiters, the
+//!   pending switch grant, and the paused and dead bits;
+//! * the FIFO slots themselves, `depth` [`BufSlot`]s per `pv`, each a
+//!   flit header carried by value, so no stage reads the network's
+//!   [`FlitArena`].
+//!
+//! The per-cycle transient state the stages need is borrowed from a
+//! caller-owned [`StepScratch`] — the pipeline allocates nothing per
+//! cycle.
 
 use std::collections::HashSet;
 
@@ -44,11 +49,11 @@ use mira_obs::phase::{scope as obs_scope, Phase as ObsPhase};
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::arena::{FlitArena, FlitRef};
-use crate::buffer::{BufSlot, FlitSlab};
+use crate::buffer::{ring_index, BufSlot, FlitHeader};
 use crate::config::{NetworkConfig, PipelineConfig};
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
-use crate::link::Link;
+use crate::link::{Link, WireTable};
 use crate::packet::PacketId;
 use crate::routing::apply_fault_mask;
 use crate::shard::{Effect, StepFx};
@@ -68,37 +73,22 @@ pub struct EjectedFlit {
     pub cycle: u64,
 }
 
-/// A granted crossbar traversal, scheduled at SA time and executed at ST.
-#[derive(Debug, Clone, Copy)]
-struct StGrant {
-    in_port: PortId,
-    in_vc: VcId,
-    out_port: PortId,
-    out_vc: VcId,
-}
-
 /// Reusable per-cycle working memory for [`Router::step`].
 ///
 /// Every transient collection the pipeline stages need lives here and is
-/// cleared (capacity kept) instead of reallocated, which is what makes
-/// the steady-state step loop allocation-free. One scratch, sized for
-/// the largest router, is shared across all routers of a network.
+/// re-zeroed instead of reallocated, which is what makes the
+/// steady-state step loop allocation-free. One scratch, sized for the
+/// largest router, is shared across all routers of a network.
 #[derive(Debug)]
 pub struct StepScratch {
-    /// SA1 winners: one candidate `(vc, out_port, out_vc)` per input port.
-    sa1: Vec<Option<(VcId, PortId, VcId)>>,
-    /// All switch-eligible `(port, vc)` pairs, for SA-loss attribution.
-    eligible_all: Vec<(usize, usize)>,
-    /// `(port, vc)` pairs granted the switch this cycle.
-    granted: Vec<(usize, usize)>,
     /// SA2 request masks bucketed by output port: bit `ip` requests on
     /// behalf of input port `ip` (set by SA1 winners, drained and
     /// re-zeroed by SA2).
     sa2_req: Vec<u64>,
-    /// VA requests bucketed by flat `(out_port, out_vc)` index.
-    va_requests: Vec<Vec<(PortId, VcId)>>,
-    /// Arbiter line masks mirroring `va_requests`: bit `pv` requests on
-    /// behalf of input VC `pv`.
+    /// SA1 winners: the granted input `pv` per input port.
+    sa1: Vec<u8>,
+    /// VA2 request masks bucketed by flat `(out_port, out_vc)` index:
+    /// bit `pv` requests on behalf of input VC `pv`.
     va_line_masks: Vec<u64>,
     /// Route candidates of the head flit under consideration.
     candidates: Vec<PortId>,
@@ -109,27 +99,78 @@ impl StepScratch {
     /// `vcs` VCs per port.
     pub fn new(ports: usize, vcs: usize) -> Self {
         StepScratch {
-            sa1: Vec::with_capacity(ports),
-            eligible_all: Vec::with_capacity(ports * vcs),
-            granted: Vec::with_capacity(ports),
             sa2_req: vec![0; ports],
-            va_requests: (0..ports * vcs).map(|_| Vec::with_capacity(ports * vcs)).collect(),
+            sa1: vec![0; ports],
             va_line_masks: vec![0; ports * vcs],
             candidates: Vec::with_capacity(8),
         }
     }
 }
 
-/// One router: input VCs, output VC state, allocators, and the pipeline.
+/// Pipeline-state tags of a [`VcRec`] (the discriminants of [`VcState`]).
+const IDLE: u8 = 0;
+const ROUTING: u8 = 1;
+const WAITING: u8 = 2;
+const ACTIVE: u8 = 3;
+/// No owner in [`VcRec::owner`], no grant in [`PortRec::grant`].
+const NONE: u8 = u8::MAX;
+/// No link in a [`PortRec`].
+const NO_LINK: u32 = u32::MAX;
+
+/// Both roles of one `(port, vc)` pair.
+#[derive(Debug, Clone, Copy)]
+struct VcRec {
+    /// Input role: the packet the VC services (meaningful unless idle).
+    packet: PacketId,
+    /// Input role: the pipeline-state tag.
+    tag: u8,
+    /// Input role: the flat `(out_port, out_vc)` index of the route —
+    /// VC 0 of the chosen port while waiting, the granted VC once active.
+    out: u8,
+    /// Input role: the FIFO ring's head slot and length.
+    head: u8,
+    len: u8,
+    /// Output role: the input `pv` holding this output VC, or [`NONE`].
+    owner: u8,
+    /// Output role: downstream credits.
+    credits: u8,
+    /// Output role: VA2 arbitration among the input `pv` lines.
+    va2: RoundRobinArbiter,
+}
+
+/// One port: its links, switch arbiters, pending grant and fault bits.
+#[derive(Debug, Clone, Copy)]
+struct PortRec {
+    /// Link feeding this input port (upstream credit returns), or
+    /// [`NO_LINK`] for the local port.
+    in_link: u32,
+    /// Link carrying flits out of this output port, or [`NO_LINK`] for
+    /// the local port and edge ports.
+    out_link: u32,
+    /// SA1 arbitration among this input port's VCs.
+    sa1: RoundRobinArbiter,
+    /// SA2 arbitration among the input ports requesting this output.
+    sa2: RoundRobinArbiter,
+    /// The input `pv` granted this output port for the coming ST, or
+    /// [`NONE`].
+    grant: u8,
+    /// The output link is in retransmission backoff this cycle (SA
+    /// pauses grants toward it and charges `LinkFault`).
+    paused: bool,
+    /// The output link has permanently died.
+    dead: bool,
+}
+
+/// One router: its VC and port records, FIFO slots, and the pipeline.
+///
+/// The layout is fixed and cache-line aligned so that the first line
+/// holds everything the per-cycle quiescence check and the stages'
+/// early-outs read (the work-list and grant masks, the occupancy), and
+/// the second the table pointers a stepped router dereferences: an idle
+/// router costs the fabric scan one line.
 #[derive(Debug)]
+#[repr(C, align(64))]
 pub struct Router {
-    id: NodeId,
-    ports: usize,
-    vcs: usize,
-    pipeline: PipelineConfig,
-    layer_shutdown: bool,
-    /// Pipeline state per input VC, keyed by `pv = port*vcs + vc`.
-    vc_state: Box<[VcState]>,
     /// Bit per `pv` in `Routing` state — the RC stage iterates set bits
     /// instead of scanning every VC (see [`Router::set_state`]).
     routing_mask: u64,
@@ -137,51 +178,43 @@ pub struct Router {
     waiting_mask: u64,
     /// Bit per `pv` in `Active` state (SA1 work list).
     active_mask: u64,
-    /// Packet currently serviced per input VC (same key).
-    vc_packet: Box<[Option<PacketId>]>,
-    /// Every input-VC FIFO, as one flat ring-buffer slab (same key).
-    buf: FlitSlab,
-    /// Output-VC ownership, keyed by `out_port*vcs + out_vc`.
-    out_owner: Box<[Option<(PortId, VcId)>]>,
-    /// Downstream credits per output VC (same key).
-    out_credits: Box<[usize]>,
-    /// Link index carrying flits *out of* each output port (`None` for the
-    /// local port and edge ports).
-    out_links: Vec<Option<usize>>,
-    /// Link index feeding each input port (`None` for the local port),
-    /// used for upstream credit returns.
-    in_links: Vec<Option<usize>>,
-    /// VA2 arbiters, keyed by `out_port*vcs + out_vc`; lines are flat
-    /// input `pv` indices.
-    va2_arbiters: Box<[RoundRobinArbiter]>,
-    sa1_arbiters: Vec<RoundRobinArbiter>,
-    sa2_arbiters: Vec<RoundRobinArbiter>,
-    st_grants: Vec<StGrant>,
+    /// Bit per output port holding a switch grant for the coming ST.
+    grant_mask: u64,
+    /// Flits buffered across every FIFO (the O(1) occupancy read), and
+    /// the highest count ever (host-side watermark; never read by the
+    /// simulation).
+    occupied: u32,
+    occupied_peak: u32,
+    vcs: usize,
+    depth: usize,
+    ports: usize,
+    /// Per-`(port, vc)` records.
+    vc: Box<[VcRec]>,
+    /// Per-port records.
+    port: Box<[PortRec]>,
+    /// FIFO storage: `pv`'s ring is slots `pv*depth .. (pv+1)*depth`.
+    slots: Box<[BufSlot]>,
+    /// Telemetry counts: flits sent per output port, then per-layer
+    /// count of switch traversals in which the layer was powered. One
+    /// block, so [`Router::telemetry`] hands both out as slices.
+    counts: Box<[u64]>,
+    id: NodeId,
     /// Number of physical datapath layers (duty-cycle denominator).
     layers: usize,
+    /// Total switch traversals (denominator for the layer counts).
+    layer_events: u64,
+    /// Route computations diverted around a dead link (fault
+    /// telemetry).
+    reroutes: u64,
     /// Stall cycles attributed by cause (telemetry; never read by the
     /// pipeline itself).
     stalls: StallCounters,
-    /// Cumulative flits sent per output port (telemetry).
-    port_flits_out: Vec<u64>,
-    /// Per-layer count of switch traversals in which the layer was
-    /// powered (telemetry for the shutdown duty cycle).
-    layer_active: Vec<u64>,
-    /// Total switch traversals (denominator for `layer_active`).
-    layer_events: u64,
+    pipeline: PipelineConfig,
+    layer_shutdown: bool,
     /// Fault-aware routing enabled: RC masks dead output ports and
     /// detours around them. Off (and free) unless fault injection with
     /// rerouting is configured.
     fault_routing: bool,
-    /// Output ports whose link has permanently died.
-    dead_out: Vec<bool>,
-    /// Output ports whose link is in retransmission backoff this cycle
-    /// (set by the network; SA pauses grants toward them and charges
-    /// the `LinkFault` stall cause).
-    link_paused: Vec<bool>,
-    /// Route computations diverted around a dead link (fault
-    /// telemetry).
-    reroutes: u64,
     /// Chaos hook: when set, the switch allocator issues no grants, so
     /// every flit entering this router parks forever — a deterministic
     /// way to exercise the no-progress watchdog. Never set outside
@@ -192,40 +225,58 @@ pub struct Router {
 impl Router {
     /// Creates a router with `ports` ports (including local) configured
     /// per `cfg`. Link wiring is attached afterwards by the network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router has more than 64 `(port, vc)` pairs or a
+    /// buffer deeper than 255 flits (the records hold both as bytes).
     pub fn new(id: NodeId, ports: usize, cfg: &NetworkConfig) -> Self {
         let vcs = cfg.router.vcs_per_port;
         let depth = cfg.router.buffer_depth;
         let pvs = ports * vcs;
         assert!(pvs <= 64, "router supports at most 64 (port, vc) pairs");
+        let credits = u8::try_from(depth).expect("router supports buffers of at most 255 flits");
+        let vc = VcRec {
+            packet: PacketId(0),
+            tag: IDLE,
+            out: 0,
+            head: 0,
+            len: 0,
+            owner: NONE,
+            credits,
+            va2: RoundRobinArbiter::new(pvs),
+        };
+        let port = PortRec {
+            in_link: NO_LINK,
+            out_link: NO_LINK,
+            sa1: RoundRobinArbiter::new(vcs),
+            sa2: RoundRobinArbiter::new(ports),
+            grant: NONE,
+            paused: false,
+            dead: false,
+        };
         Router {
             id,
             ports,
             vcs,
+            depth,
+            layers: cfg.layers,
             pipeline: cfg.router.pipeline,
             layer_shutdown: cfg.layer_shutdown,
-            vc_state: vec![VcState::Idle; pvs].into_boxed_slice(),
             routing_mask: 0,
             waiting_mask: 0,
             active_mask: 0,
-            vc_packet: vec![None; pvs].into_boxed_slice(),
-            buf: FlitSlab::new(pvs, depth),
-            out_owner: vec![None; pvs].into_boxed_slice(),
-            out_credits: vec![depth; pvs].into_boxed_slice(),
-            out_links: vec![None; ports],
-            in_links: vec![None; ports],
-            va2_arbiters: (0..pvs).map(|_| RoundRobinArbiter::new(pvs)).collect(),
-            sa1_arbiters: (0..ports).map(|_| RoundRobinArbiter::new(vcs)).collect(),
-            sa2_arbiters: (0..ports).map(|_| RoundRobinArbiter::new(ports)).collect(),
-            st_grants: Vec::with_capacity(ports),
-            layers: cfg.layers,
-            stalls: StallCounters::new(),
-            port_flits_out: vec![0; ports],
-            layer_active: vec![0; cfg.layers],
+            grant_mask: 0,
+            occupied: 0,
+            occupied_peak: 0,
+            vc: vec![vc; pvs].into_boxed_slice(),
+            port: vec![port; ports].into_boxed_slice(),
+            slots: vec![BufSlot::EMPTY; pvs * depth].into_boxed_slice(),
+            counts: vec![0; ports + cfg.layers].into_boxed_slice(),
             layer_events: 0,
-            fault_routing: false,
-            dead_out: vec![false; ports],
-            link_paused: vec![false; ports],
+            stalls: StallCounters::new(),
             reroutes: 0,
+            fault_routing: false,
             sa_frozen: false,
         }
     }
@@ -240,7 +291,7 @@ impl Router {
         self.ports
     }
 
-    /// Flat `(port, vc)` index into the per-VC parallel arrays.
+    /// Flat `(port, vc)` index into the per-VC records.
     #[inline]
     fn pv(&self, port: PortId, vc: VcId) -> usize {
         port.index() * self.vcs + vc.index()
@@ -248,48 +299,123 @@ impl Router {
 
     /// Attaches the outgoing link at `port` (wiring pass).
     pub(crate) fn set_out_link(&mut self, port: PortId, link: usize) {
-        self.out_links[port.index()] = Some(link);
+        self.port[port.index()].out_link = u32::try_from(link).expect("link index exceeds u32");
     }
 
     /// Attaches the incoming link at `port` (wiring pass).
     pub(crate) fn set_in_link(&mut self, port: PortId, link: usize) {
-        self.in_links[port.index()] = Some(link);
+        self.port[port.index()].in_link = u32::try_from(link).expect("link index exceeds u32");
     }
 
-    fn layer_fraction(&self, flit: &Flit) -> f64 {
-        if self.layer_shutdown {
-            flit.data.active_fraction()
-        } else {
-            1.0
+    /// The link leaving output port `p`, if wired.
+    #[inline]
+    fn out_link(&self, p: usize) -> Option<usize> {
+        let li = self.port[p].out_link;
+        (li != NO_LINK).then_some(li as usize)
+    }
+
+    /// The link feeding input port `p`, if wired.
+    #[inline]
+    fn in_link(&self, p: usize) -> Option<usize> {
+        let li = self.port[p].in_link;
+        (li != NO_LINK).then_some(li as usize)
+    }
+
+    /// The pipeline state of input VC `pv`, decoded from its record.
+    fn state(&self, pv: usize) -> VcState {
+        let r = self.vc[pv];
+        let (out_port, out_vc) =
+            (PortId(r.out as usize / self.vcs), VcId(r.out as usize % self.vcs));
+        match r.tag {
+            IDLE => VcState::Idle,
+            ROUTING => VcState::Routing,
+            WAITING => VcState::WaitingVc { out_port },
+            _ => VcState::Active { out_port, out_vc },
         }
     }
 
     /// The single write path for per-VC pipeline state: keeps the
     /// per-state bitmasks (the stage work lists) exactly in sync with
-    /// `vc_state`.
+    /// the records.
     #[inline]
     fn set_state(&mut self, pv: usize, state: VcState) {
         let bit = 1u64 << pv;
         self.routing_mask &= !bit;
         self.waiting_mask &= !bit;
         self.active_mask &= !bit;
-        match state {
-            VcState::Idle => {}
-            VcState::Routing => self.routing_mask |= bit,
-            VcState::WaitingVc { .. } => self.waiting_mask |= bit,
-            VcState::Active { .. } => self.active_mask |= bit,
+        let (tag, out) = match state {
+            VcState::Idle => (IDLE, 0),
+            VcState::Routing => (ROUTING, 0),
+            VcState::WaitingVc { out_port } => {
+                self.waiting_mask |= bit;
+                (WAITING, self.pv(out_port, VcId(0)))
+            }
+            VcState::Active { out_port, out_vc } => {
+                self.active_mask |= bit;
+                (ACTIVE, self.pv(out_port, out_vc))
+            }
+        };
+        if tag == ROUTING {
+            self.routing_mask |= bit;
         }
-        self.vc_state[pv] = state;
+        let r = &mut self.vc[pv];
+        r.tag = tag;
+        r.out = out as u8;
+    }
+
+    /// The flit at the front of FIFO `pv`, if any.
+    #[inline]
+    fn front(&self, pv: usize) -> Option<&BufSlot> {
+        let r = &self.vc[pv];
+        (r.len > 0).then(|| &self.slots[pv * self.depth + r.head as usize])
+    }
+
+    /// `true` if the front flit of FIFO `pv` exists and is ready at
+    /// `cycle`.
+    #[inline]
+    fn front_ready(&self, pv: usize, cycle: u64) -> bool {
+        self.front(pv).is_some_and(|t| t.ready_at <= cycle)
+    }
+
+    /// Writes `slot` into FIFO `pv`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on overflow — credits must guarantee space, so overflow is
+    /// a flow-control bug, not a recoverable condition.
+    #[inline]
+    fn push(&mut self, pv: usize, slot: BufSlot) {
+        let r = &mut self.vc[pv];
+        assert!((r.len as usize) < self.depth, "VC buffer overflow: credit accounting is broken");
+        let i = ring_index(r.head as usize, r.len as usize, self.depth);
+        r.len += 1;
+        self.slots[pv * self.depth + i] = slot;
+        self.occupied += 1;
+        self.occupied_peak = self.occupied_peak.max(self.occupied);
+    }
+
+    /// Removes and returns the front flit of FIFO `pv`.
+    #[inline]
+    fn pop(&mut self, pv: usize) -> Option<BufSlot> {
+        let r = &mut self.vc[pv];
+        if r.len == 0 {
+            return None;
+        }
+        let slot = self.slots[pv * self.depth + r.head as usize];
+        r.head = ring_index(r.head as usize, 1, self.depth) as u8;
+        r.len -= 1;
+        self.occupied -= 1;
+        Some(slot)
     }
 
     /// A head flit buffered into an idle VC starts the next packet's
     /// pipeline occupancy: the VC enters `Routing` and records the
     /// packet it now services.
     fn on_flit_buffered(&mut self, pv: usize) {
-        if self.vc_state[pv] == VcState::Idle {
-            if let Some(front) = self.buf.front(pv) {
-                debug_assert!(front.head, "an idle VC must only receive head flits first");
-                self.vc_packet[pv] = Some(front.packet);
+        if self.vc[pv].tag == IDLE {
+            if let Some(front) = self.front(pv) {
+                debug_assert!(front.hdr.is_head(), "an idle VC must only receive head flits first");
+                self.vc[pv].packet = front.hdr.packet;
                 self.set_state(pv, VcState::Routing);
             }
         }
@@ -299,17 +425,29 @@ impl Router {
     /// head is already buffered the VC re-enters `Routing` immediately.
     fn on_tail_departed(&mut self, pv: usize) {
         self.set_state(pv, VcState::Idle);
-        self.vc_packet[pv] = None;
         self.on_flit_buffered(pv);
+    }
+
+    /// Buffers the flit `hdr` describes into input port `port`, VC
+    /// `hdr.vc`, returning the active-layer fraction of the buffer
+    /// write. The caller owns the global accounting — with N shards the
+    /// buffer push happens on the owning worker while the f64 counter
+    /// addition replays on the calling thread in canonical order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is full (credit-accounting violation).
+    #[inline]
+    pub(crate) fn receive(&mut self, port: PortId, hdr: FlitHeader, cycle: u64) -> f64 {
+        let pv = self.pv(port, hdr.vc());
+        self.push(pv, BufSlot { hdr, ready_at: cycle });
+        self.on_flit_buffered(pv);
+        hdr.fraction(self.layer_shutdown)
     }
 
     /// Accepts the flit at `fref` (whose contents are `flit`) into the
     /// input buffer at (`port`, `vc`), returning the active-layer
-    /// fraction of the buffer write. The caller owns the global
-    /// accounting (`record_buffer_write` and the per-router
-    /// `buffer_events` fraction) — with N shards the buffer push happens
-    /// on the owning worker while the f64 counter addition replays on
-    /// the calling thread in canonical order.
+    /// fraction of the buffer write (see [`Router::receive`]).
     ///
     /// # Panics
     ///
@@ -322,44 +460,40 @@ impl Router {
         flit: &Flit,
         cycle: u64,
     ) -> f64 {
-        let fraction = self.layer_fraction(flit);
-        let slot = BufSlot {
-            fref,
-            ready_at: cycle,
-            packet: flit.packet,
-            dst: flit.dst,
-            class: flit.class,
-            head: flit.is_head(),
-            tail: flit.is_tail(),
-        };
-        let pv = self.pv(port, vc);
-        self.buf.push(pv, slot);
-        self.on_flit_buffered(pv);
-        fraction
+        self.receive(port, FlitHeader::of(fref, flit, vc), cycle)
     }
 
     /// Accepts a returned credit for output VC (`port`, `vc`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the credit count overflows its byte — far past the
+    /// `credits > depth` violation [`Router::credit_overflows`] reports.
+    #[inline]
     pub fn receive_credit(&mut self, port: PortId, vc: VcId) {
         let pv = self.pv(port, vc);
-        self.out_credits[pv] += 1;
+        let c = &mut self.vc[pv].credits;
+        *c = c.checked_add(1).expect("credit counter overflow: credit conservation is broken");
     }
 
     /// Free slots in the local input buffer for VC `vc` (used by the
     /// network interface to pace injection).
+    #[inline]
     pub fn local_free_slots(&self, vc: VcId) -> usize {
-        self.buf.free_slots(self.pv(PortId::LOCAL, vc))
+        self.depth - self.vc[self.pv(PortId::LOCAL, vc)].len as usize
     }
 
     /// Total flits currently buffered in this router (conservation
-    /// checks; O(1) — the slab tracks occupancy incrementally).
+    /// checks; O(1) — occupancy is tracked incrementally).
+    #[inline]
     pub fn buffered_flits(&self) -> usize {
-        self.buf.occupied()
+        self.occupied as usize
     }
 
     /// Highest total buffer occupancy this router ever reached
     /// (host-side watermark; see `mira-obs`).
     pub fn buffer_peak(&self) -> usize {
-        self.buf.occupied_peak()
+        self.occupied_peak as usize
     }
 
     /// Returns `true` if the router holds no flits and has no pending
@@ -367,60 +501,100 @@ impl Router {
     /// provable no-op — no counter, stall, trace, or arbiter mutation —
     /// which is what lets the network skip it entirely (the active-set
     /// optimisation; see DESIGN.md §14).
+    #[inline]
     pub fn is_quiescent(&self) -> bool {
-        self.buf.occupied() == 0 && self.st_grants.is_empty()
+        self.occupied == 0 && self.grant_mask == 0
     }
 
-    /// Verifies the data-oriented core's work-list invariants, panicking
-    /// with a diagnostic on the first violation. Checked properties:
+    /// The headers of every buffered flit, FIFO by FIFO (the black box
+    /// reads hop counts here).
+    pub(crate) fn buffered(&self) -> impl Iterator<Item = &FlitHeader> {
+        (0..self.vc.len()).flat_map(move |pv| {
+            let r = self.vc[pv];
+            (0..r.len as usize).map(move |k| {
+                &self.slots[pv * self.depth + ring_index(r.head as usize, k, self.depth)].hdr
+            })
+        })
+    }
+
+    /// Verifies the dense core's invariants, panicking with a diagnostic
+    /// on the first violation. Checked properties:
     ///
     /// * each per-state mask (`routing`/`waiting`/`active`) holds exactly
-    ///   the VCs whose `vc_state` carries that state — the stages iterate
+    ///   the VCs whose record carries that state — the stages iterate
     ///   the masks, so a desync would silently skip pipeline work;
     /// * `Routing` and `WaitingVc` VCs hold a buffered head flit (which
     ///   is what makes the quiescence skip sound: an empty router can
     ///   have no routable or waiting VC);
+    /// * FIFO lengths sum to the occupancy count and stay within the
+    ///   depth, and every output VC's credits stay within the depth;
+    /// * output-VC ownership is a matching: each owned output VC's owner
+    ///   is an `Active` input VC that names it back, and each `Active`
+    ///   input VC owns exactly the output VC it names (so none owns two);
     /// * a quiescent router has empty routing and waiting masks.
     ///
     /// This is a test/debug facility; it walks every VC and is not meant
     /// for per-cycle production use.
     pub fn assert_worklists_consistent(&self) {
-        for pv in 0..self.vc_state.len() {
+        let id = self.id;
+        let mut buffered = 0usize;
+        for pv in 0..self.vc.len() {
             let bit = 1u64 << pv;
             let (r, w, a) = (
                 self.routing_mask & bit != 0,
                 self.waiting_mask & bit != 0,
                 self.active_mask & bit != 0,
             );
-            let expect = match self.vc_state[pv] {
+            let state = self.state(pv);
+            let expect = match state {
                 VcState::Idle => (false, false, false),
                 VcState::Routing => (true, false, false),
                 VcState::WaitingVc { .. } => (false, true, false),
                 VcState::Active { .. } => (false, false, true),
             };
-            assert_eq!(
-                (r, w, a),
-                expect,
-                "router {}: pv {pv} state {:?} disagrees with work-list masks",
-                self.id,
-                self.vc_state[pv]
-            );
-            if matches!(self.vc_state[pv], VcState::Routing | VcState::WaitingVc { .. }) {
-                let front = self.buf.front(pv);
+            assert_eq!((r, w, a), expect, "router {id}: pv {pv} {state:?} disagrees with masks");
+            if matches!(state, VcState::Routing | VcState::WaitingVc { .. }) {
+                let front = self.front(pv);
                 assert!(
-                    front.is_some_and(|t| t.head),
-                    "router {}: pv {pv} is {:?} without a buffered head flit",
-                    self.id,
-                    self.vc_state[pv]
+                    front.is_some_and(|t| t.hdr.is_head()),
+                    "router {id}: pv {pv} is {state:?} without a buffered head flit"
                 );
             }
+            let rec = self.vc[pv];
+            assert!(rec.len as usize <= self.depth, "router {id}: pv {pv} FIFO over depth");
+            buffered += rec.len as usize;
+            assert!(
+                rec.credits as usize <= self.depth,
+                "router {id}: output VC {pv} holds {} credits for a depth of {}",
+                rec.credits,
+                self.depth
+            );
+            if rec.owner != NONE {
+                let o = self.vc[rec.owner as usize];
+                assert!(
+                    o.tag == ACTIVE && o.out as usize == pv,
+                    "router {id}: output VC {pv} owned by pv {} which does not name it",
+                    rec.owner
+                );
+            }
+            if let VcState::Active { out_port, out_vc } = state {
+                let ov = self.pv(out_port, out_vc);
+                assert_eq!(
+                    self.vc[ov].owner as usize, pv,
+                    "router {id}: active pv {pv} does not own its output VC {ov}"
+                );
+            }
+        }
+        assert_eq!(buffered, self.occupied as usize, "router {id}: occupancy count drifted");
+        for p in 0..self.ports {
+            let granted = self.grant_mask & (1u64 << p) != 0;
+            assert_eq!(granted, self.port[p].grant != NONE, "router {id}: port {p} grant drifted");
         }
         if self.is_quiescent() {
             assert_eq!(
                 self.routing_mask | self.waiting_mask,
                 0,
-                "router {}: quiescent but holds routable or waiting VCs",
-                self.id
+                "router {id}: quiescent but holds routable or waiting VCs"
             );
         }
     }
@@ -433,10 +607,11 @@ impl Router {
     /// Live view of this router's cumulative telemetry counters (the
     /// metrics collector diffs successive views to form windows).
     pub fn telemetry(&self) -> RouterTelemetry<'_> {
+        let (port_flits_out, layer_active) = self.counts.split_at(self.ports);
         RouterTelemetry {
             stalls: self.stalls,
-            port_flits_out: &self.port_flits_out,
-            layer_active: &self.layer_active,
+            port_flits_out,
+            layer_active,
             layer_events: self.layer_events,
         }
     }
@@ -454,9 +629,9 @@ impl Router {
     /// (`Active`) keep their route; the network black-holes their flits
     /// at the dead link and refluxes the credits.
     pub(crate) fn on_port_death(&mut self, port: PortId) {
-        self.dead_out[port.index()] = true;
-        for pv in 0..self.vc_state.len() {
-            if self.vc_state[pv] == (VcState::WaitingVc { out_port: port }) {
+        self.port[port.index()].dead = true;
+        for pv in 0..self.vc.len() {
+            if self.state(pv) == (VcState::WaitingVc { out_port: port }) {
                 self.set_state(pv, VcState::Routing);
             }
         }
@@ -466,7 +641,7 @@ impl Router {
     /// progress) or live again. SA skips paused ports and charges the
     /// [`StallCause::LinkFault`] cause.
     pub(crate) fn set_link_paused(&mut self, port: PortId, paused: bool) {
-        self.link_paused[port.index()] = paused;
+        self.port[port.index()].paused = paused;
     }
 
     /// Route computations diverted around dead links so far.
@@ -491,8 +666,8 @@ impl Router {
             self.routing_mask,
             self.waiting_mask,
             self.active_mask,
-            self.buf.occupied() as u64,
-            self.st_grants.len() as u64,
+            u64::from(self.occupied),
+            u64::from(self.grant_mask.count_ones()),
         ]
     }
 
@@ -500,8 +675,8 @@ impl Router {
     /// router (0 when every FIFO is empty) — the starvation detector's
     /// subject.
     pub(crate) fn max_head_age(&self, cycle: u64) -> u64 {
-        (0..self.vc_state.len())
-            .filter_map(|pv| self.buf.front(pv))
+        (0..self.vc.len())
+            .filter_map(|pv| self.front(pv))
             .map(|s| cycle.saturating_sub(s.ready_at))
             .max()
             .unwrap_or(0)
@@ -511,19 +686,18 @@ impl Router {
     /// buffer depth they track — any non-zero value is a
     /// credit-conservation violation.
     pub(crate) fn credit_overflows(&self) -> u64 {
-        let depth = self.buf.depth();
-        self.out_credits.iter().filter(|&&c| c > depth).count() as u64
+        self.vc.iter().filter(|r| r.credits as usize > self.depth).count() as u64
     }
 
-    /// Freezes this router's SoA state into a
+    /// Freezes this router's state into a
     /// [`RouterDump`](crate::recorder::RouterDump) for the black box.
     /// `x`/`y` are the topology coordinates (passed in because the
     /// router does not know where it sits).
     pub(crate) fn dump(&self, cycle: u64, x: u64, y: u64) -> crate::recorder::RouterDump {
         let mut vcs = Vec::new();
-        for pv in 0..self.vc_state.len() {
-            let state = self.vc_state[pv];
-            let occupancy = self.buf.len(pv);
+        for pv in 0..self.vc.len() {
+            let state = self.state(pv);
+            let occupancy = self.vc[pv].len as usize;
             if state == VcState::Idle && occupancy == 0 {
                 continue;
             }
@@ -547,17 +721,17 @@ impl Router {
                 .to_string(),
                 out_port,
                 out_vc,
-                packet: self.vc_packet[pv].map(|p| p.0),
+                packet: (state != VcState::Idle).then_some(self.vc[pv].packet.0),
                 occupancy: occupancy as u64,
-                head_age: self.buf.front(pv).map(|s| cycle.saturating_sub(s.ready_at)),
-                credits: self.out_credits[pv] as u64,
+                head_age: self.front(pv).map(|s| cycle.saturating_sub(s.ready_at)),
+                credits: u64::from(self.vc[pv].credits),
             });
         }
         crate::recorder::RouterDump {
             router: self.id.index() as u64,
             x,
             y,
-            buffered: self.buf.occupied() as u64,
+            buffered: u64::from(self.occupied),
             routing_mask: self.routing_mask,
             waiting_mask: self.waiting_mask,
             active_mask: self.active_mask,
@@ -575,7 +749,7 @@ impl Router {
     fn detour_port(&self, topo: &dyn Topology, in_port: PortId, dst: NodeId) -> PortId {
         let best = |allow_uturn: bool| -> Option<PortId> {
             (1..self.ports)
-                .filter(|&p| !self.dead_out[p] && self.out_links[p].is_some())
+                .filter(|&p| !self.port[p].dead && self.out_link(p).is_some())
                 .filter(|&p| allow_uturn || PortId(p) != in_port)
                 .filter_map(|p| {
                     topo.neighbor(self.id, PortId(p)).map(|n| (topo.min_hops(n, dst), p))
@@ -588,11 +762,11 @@ impl Router {
             .expect("no live output port left for detour: node is fully disconnected")
     }
 
-    /// Returns `true` when (`ip`, `iv`) holds a switch grant scheduled
+    /// Returns `true` when input VC `pv` holds a switch grant scheduled
     /// for the coming ST phase (the reaper must not purge such a VC —
     /// ST would pop an empty buffer).
-    fn has_st_grant(&self, ip: usize, iv: usize) -> bool {
-        self.st_grants.iter().any(|g| g.in_port.index() == ip && g.in_vc.index() == iv)
+    fn has_st_grant(&self, pv: usize) -> bool {
+        self.port.iter().any(|p| p.grant as usize == pv)
     }
 
     /// Purges buffered flits belonging to severed (dropped) packets and
@@ -605,38 +779,37 @@ impl Router {
         severed: &HashSet<PacketId>,
         cycle: u64,
         arena: &mut FlitArena,
-        links: &mut [Link],
+        wires: &mut WireTable,
     ) -> u64 {
         let mut purged = 0u64;
         for ip in 0..self.ports {
             for iv in 0..self.vcs {
                 let pv = ip * self.vcs + iv;
-                let Some(pid) = self.vc_packet[pv] else { continue };
-                if !severed.contains(&pid) || self.has_st_grant(ip, iv) {
+                let rec = self.vc[pv];
+                if rec.tag == IDLE || !severed.contains(&rec.packet) || self.has_st_grant(pv) {
                     continue;
                 }
-                let state = self.vc_state[pv];
                 let mut popped = 0u64;
-                while self.buf.front(pv).is_some_and(|s| s.packet == pid) {
-                    let slot = self.buf.pop(pv).expect("front exists");
-                    arena.free(slot.fref);
+                while self.front(pv).is_some_and(|s| s.hdr.packet == rec.packet) {
+                    let slot = self.pop(pv).expect("front exists");
+                    arena.free(slot.hdr.fref);
                     popped += 1;
                 }
                 // Each popped flit frees a slot the upstream router
                 // already paid a credit for.
-                if let Some(li) = self.in_links[ip] {
+                if let Some(li) = self.in_link(ip) {
+                    let mut wire = wires.wire(li);
                     for _ in 0..popped {
-                        links[li].send_credit(VcId(iv), Link::delivery_cycle(cycle, 0));
+                        wire.send_credit(VcId(iv), Link::delivery_cycle(cycle, 0));
                     }
                 }
-                if let VcState::Active { out_port, out_vc } = state {
-                    let ov = self.pv(out_port, out_vc);
-                    debug_assert_eq!(self.out_owner[ov], Some((PortId(ip), VcId(iv))));
-                    self.out_owner[ov] = None;
+                if rec.tag == ACTIVE {
+                    let ov = rec.out as usize;
+                    debug_assert_eq!(self.vc[ov].owner as usize, pv);
+                    self.vc[ov].owner = NONE;
                 }
                 purged += popped;
                 self.set_state(pv, VcState::Idle);
-                self.vc_packet[pv] = None;
                 self.on_flit_buffered(pv);
             }
         }
@@ -692,37 +865,29 @@ impl Router {
         }
     }
 
-    /// ST: execute last cycle's switch grants.
-    ///
-    /// ST always runs first within the cycle, and SA (which is what
-    /// refills `st_grants`) always runs after it, so iterating the grant
-    /// list by index and clearing it at the end is safe and keeps the
-    /// vector's capacity.
+    /// ST: execute last cycle's switch grants, in ascending output-port
+    /// order (the order SA2 issued them).
     fn stage_st<F: StepFx>(&mut self, cycle: u64, activity: &mut RouterActivity, fx: &mut F) {
         let _obs = obs_scope(ObsPhase::StageSt);
-        if self.st_grants.is_empty() {
-            return;
-        }
         let traced = fx.traced();
-        for gi in 0..self.st_grants.len() {
-            let g = self.st_grants[gi];
-            let pv = self.pv(g.in_port, g.in_vc);
-            let slot = self.buf.pop(pv).expect("SA granted an empty VC");
-            if slot.head && fx.journeys_on() {
-                fx.commit(Effect::JourneySt { packet: slot.packet, out_port: g.out_port });
+        while self.grant_mask != 0 {
+            let op = self.grant_mask.trailing_zeros() as usize;
+            self.grant_mask &= self.grant_mask - 1;
+            let pv = std::mem::replace(&mut self.port[op].grant, NONE) as usize;
+            let ov = self.vc[pv].out as usize;
+            let (in_port, in_vc) = (PortId(pv / self.vcs), VcId(pv % self.vcs));
+            let (out_port, out_vc) = (PortId(op), VcId(ov % self.vcs));
+            let slot = self.pop(pv).expect("SA granted an empty VC");
+            let mut hdr = slot.hdr;
+            if hdr.is_head() && fx.journeys_on() {
+                fx.commit(Effect::JourneySt { packet: hdr.packet, out_port });
             }
-            // The only payload touch on the traversal path: one arena
-            // read for the activity fractions.
-            let (fraction, active_layers) = {
-                let data = &fx.flit(slot.fref).data;
-                if self.layer_shutdown {
-                    let words = data.num_words();
-                    let active =
-                        (data.active_words() * self.layers).div_ceil(words).min(self.layers);
-                    (data.active_fraction(), active)
-                } else {
-                    (1.0, self.layers)
-                }
+            let (fraction, active_layers) = if self.layer_shutdown {
+                let words = usize::from(hdr.words);
+                let active = (usize::from(hdr.active) * self.layers).div_ceil(words);
+                (hdr.fraction(true), active.min(self.layers))
+            } else {
+                (1.0, self.layers)
             };
             fx.commit(Effect::StRead { fraction });
             activity.buffer_events += fraction;
@@ -732,8 +897,8 @@ impl Router {
             // Duty-cycle accounting: which datapath layers powered this
             // traversal. Flit words map onto layers MSB-down, so the
             // first `active_layers` layers carry the active words.
-            self.port_flits_out[g.out_port.index()] += 1;
-            for l in &mut self.layer_active[..active_layers] {
+            self.counts[op] += 1;
+            for l in &mut self.counts[self.ports..self.ports + active_layers] {
                 *l += 1;
             }
             self.layer_events += 1;
@@ -741,47 +906,51 @@ impl Router {
                 fx.commit(Effect::Trace(TraceEvent {
                     cycle,
                     router: self.id,
-                    port: g.in_port,
-                    vc: g.in_vc,
+                    port: in_port,
+                    vc: in_vc,
                     kind: TraceEventKind::SwitchTraversal,
-                    packet: slot.packet.0,
-                    detail: g.out_port.index() as u32,
+                    packet: hdr.packet.0,
+                    detail: op as u32,
                 }));
                 if active_layers < self.layers {
                     fx.commit(Effect::Trace(TraceEvent {
                         cycle,
                         router: self.id,
-                        port: g.out_port,
-                        vc: g.out_vc,
+                        port: out_port,
+                        vc: out_vc,
                         kind: TraceEventKind::LayerGate,
-                        packet: slot.packet.0,
+                        packet: hdr.packet.0,
                         detail: (self.layers - active_layers) as u32,
                     }));
                 }
             }
 
             // Return a credit upstream for the freed buffer slot.
-            if let Some(li) = self.in_links[g.in_port.index()] {
-                fx.send_credit(li, g.in_vc, cycle + 1);
+            if let Some(li) = self.in_link(in_port.index()) {
+                fx.send_credit(li, in_vc, cycle + 1);
             }
 
-            if g.out_port.is_local() {
-                fx.commit(Effect::Eject { fref: slot.fref, node: self.id, tail: slot.tail });
+            if out_port.is_local() {
+                fx.commit(Effect::Eject {
+                    fref: hdr.fref,
+                    hops: hdr.hops,
+                    node: self.id,
+                    tail: hdr.is_tail(),
+                });
             } else {
-                let li = self.out_links[g.out_port.index()]
-                    .expect("route led through a port with no link");
+                let li = self.out_link(op).expect("route led through a port with no link");
                 activity.link_flit_mm += fx.link_length_mm(li) * fraction;
                 let deliver = Link::delivery_cycle(cycle, self.pipeline.link_extra_cycles());
-                fx.forward(li, slot.fref, g.out_vc, deliver, fraction);
+                hdr.hop();
+                hdr.vc = out_vc.index() as u8;
+                fx.forward(li, hdr, deliver, fraction);
             }
 
-            if slot.tail {
-                let ov = self.pv(g.out_port, g.out_vc);
-                self.out_owner[ov] = None;
+            if hdr.is_tail() {
+                self.vc[ov].owner = NONE;
                 self.on_tail_departed(pv);
             }
         }
-        self.st_grants.clear();
     }
 
     /// Charges one stall of `cause` to VC `pv` and, when journeys are
@@ -789,8 +958,8 @@ impl Router {
     fn stall<F: StepFx>(&mut self, fx: &mut F, pv: usize, cause: StallCause) {
         self.stalls.record(cause);
         if fx.journeys_on() {
-            if let Some(t) = self.buf.front(pv) {
-                let (packet, head) = (t.packet, t.head);
+            if let Some(t) = self.front(pv) {
+                let (packet, head) = (t.hdr.packet, t.hdr.is_head());
                 fx.commit(Effect::JourneyStall { packet, router: self.id, cause, head });
             }
         }
@@ -814,13 +983,11 @@ impl Router {
         let traced = fx.traced();
         // SA1: one candidate VC per input port. Only ports with an
         // `Active` VC (a set bit in the work-list mask) do any work.
-        scratch.sa1.clear();
-        scratch.sa1.resize(self.ports, None);
-        scratch.eligible_all.clear();
-        let vc_bits = (1u64 << self.vcs) - 1;
-        let mut sa2_used: u64 = 0;
+        let vcs = self.vcs;
+        let vc_bits = (1u64 << vcs) - 1;
+        let (mut sa2_used, mut eligible) = (0u64, 0u64);
         for ip in 0..self.ports {
-            let mut port_active = (self.active_mask >> (ip * self.vcs)) & vc_bits;
+            let mut port_active = (self.active_mask >> (ip * vcs)) & vc_bits;
             if port_active == 0 {
                 continue;
             }
@@ -828,21 +995,19 @@ impl Router {
             while port_active != 0 {
                 let iv = port_active.trailing_zeros() as usize;
                 port_active &= port_active - 1;
-                let pv = ip * self.vcs + iv;
-                let VcState::Active { out_port, out_vc } = self.vc_state[pv] else {
-                    debug_assert!(false, "active_mask out of sync with vc_state");
-                    continue;
-                };
-                if !self.buf.front_ready(pv, cycle) {
+                let pv = ip * vcs + iv;
+                if !self.front_ready(pv, cycle) {
                     continue;
                 }
-                if !out_port.is_local() && self.link_paused[out_port.index()] {
+                let ov = self.vc[pv].out as usize;
+                let local = ov < vcs;
+                if !local && self.port[ov / vcs].paused {
                     // The outgoing link is replaying its window; new
                     // traffic would interleave into the resent stream.
                     self.stall(fx, pv, StallCause::LinkFault);
                     continue;
                 }
-                if out_port.is_local() || self.out_credits[self.pv(out_port, out_vc)] > 0 {
+                if local || self.vc[ov].credits > 0 {
                     elig_mask |= 1u64 << iv;
                 } else {
                     self.stall(fx, pv, StallCause::NoCredit);
@@ -851,60 +1016,56 @@ impl Router {
             if elig_mask == 0 {
                 continue;
             }
+            eligible |= elig_mask << (ip * vcs);
             fx.tallies().sa1 += 1;
-            if let Some(iv) = self.sa1_arbiters[ip].arbitrate_mask(elig_mask) {
-                if let VcState::Active { out_port, out_vc } = self.vc_state[ip * self.vcs + iv] {
-                    scratch.sa1[ip] = Some((VcId(iv), out_port, out_vc));
-                    scratch.sa2_req[out_port.index()] |= 1u64 << ip;
-                    sa2_used |= 1u64 << out_port.index();
-                }
-            }
-            while elig_mask != 0 {
-                let iv = elig_mask.trailing_zeros() as usize;
-                elig_mask &= elig_mask - 1;
-                scratch.eligible_all.push((ip, iv));
+            if let Some(iv) = self.port[ip].sa1.arbitrate_mask(elig_mask) {
+                let pv = ip * vcs + iv;
+                let op = self.vc[pv].out as usize / vcs;
+                scratch.sa1[ip] = pv as u8;
+                scratch.sa2_req[op] |= 1u64 << ip;
+                sa2_used |= 1u64 << op;
             }
         }
 
         // SA2: one input port per output port, over the requested output
         // ports only (ascending, via the bucket-usage mask).
-        scratch.granted.clear();
         while sa2_used != 0 {
             let op = sa2_used.trailing_zeros() as usize;
             sa2_used &= sa2_used - 1;
             fx.tallies().sa2 += 1;
-            if let Some(ip) = self.sa2_arbiters[op].arbitrate_mask(scratch.sa2_req[op]) {
-                let (iv, out_port, out_vc) = scratch.sa1[ip].expect("requester has an SA1 grant");
-                if !out_port.is_local() {
-                    let ov = self.pv(out_port, out_vc);
-                    debug_assert!(self.out_credits[ov] > 0, "SA granted without credit");
-                    self.out_credits[ov] -= 1;
+            if let Some(ip) = self.port[op].sa2.arbitrate_mask(scratch.sa2_req[op]) {
+                let pv = scratch.sa1[ip] as usize;
+                let ov = self.vc[pv].out as usize;
+                if op != PortId::LOCAL.index() {
+                    let credits = &mut self.vc[ov].credits;
+                    debug_assert!(*credits > 0, "SA granted without credit");
+                    *credits -= 1;
                 }
                 if traced {
-                    let packet =
-                        self.buf.front(ip * self.vcs + iv.index()).map_or(0, |t| t.packet.0);
+                    let packet = self.front(pv).map_or(0, |t| t.hdr.packet.0);
                     fx.commit(Effect::Trace(TraceEvent {
                         cycle,
                         router: self.id,
                         port: PortId(ip),
-                        vc: iv,
+                        vc: VcId(pv % vcs),
                         kind: TraceEventKind::SwitchAlloc,
                         packet,
-                        detail: out_port.index() as u32,
+                        detail: op as u32,
                     }));
                 }
-                scratch.granted.push((ip, iv.index()));
-                self.st_grants.push(StGrant { in_port: PortId(ip), in_vc: iv, out_port, out_vc });
+                eligible &= !(1u64 << pv);
+                self.port[op].grant = pv as u8;
+                self.grant_mask |= 1u64 << op;
             }
             scratch.sa2_req[op] = 0;
         }
 
         // Every eligible VC that did not get the switch stalled on
         // arbitration this cycle.
-        for &pair in &scratch.eligible_all {
-            if !scratch.granted.contains(&pair) {
-                self.stall(fx, pair.0 * self.vcs + pair.1, StallCause::SaLoss);
-            }
+        while eligible != 0 {
+            let pv = eligible.trailing_zeros() as usize;
+            eligible &= eligible - 1;
+            self.stall(fx, pv, StallCause::SaLoss);
         }
     }
 
@@ -929,66 +1090,55 @@ impl Router {
         while waiting != 0 {
             let pv = waiting.trailing_zeros() as usize;
             waiting &= waiting - 1;
-            let VcState::WaitingVc { out_port } = self.vc_state[pv] else {
-                debug_assert!(false, "waiting_mask out of sync with vc_state");
-                continue;
-            };
-            if !self.buf.front_ready(pv, cycle) {
+            if !self.front_ready(pv, cycle) {
                 continue;
             }
-            let class = self.buf.front(pv).expect("waiting VC holds a head flit").class;
+            let class = self.front(pv).expect("waiting VC holds a head flit").hdr.class;
             let out_vc = class.vc_index().min(self.vcs - 1);
             fx.tallies().va1 += 1;
-            let b = out_port.index() * self.vcs + out_vc;
-            scratch.va_requests[b].push((PortId(pv / self.vcs), VcId(pv % self.vcs)));
+            let b = self.vc[pv].out as usize + out_vc;
             scratch.va_line_masks[b] |= 1u64 << pv;
             va2_used |= 1u64 << b;
         }
 
         // VA2: arbitrate per (output port, output VC) among requesters —
-        // requested buckets only, ascending flat index.
+        // requested buckets only, ascending flat index; requesters stall
+        // in ascending `pv` order.
         while va2_used != 0 {
             let b = va2_used.trailing_zeros() as usize;
             va2_used &= va2_used - 1;
-            let (op, ov) = (b / self.vcs, b % self.vcs);
+            let mut requests = std::mem::take(&mut scratch.va_line_masks[b]);
             fx.tallies().va2 += 1;
-            if self.out_owner[b].is_some() {
+            let cause = if self.vc[b].owner != NONE {
                 // The target VC is held by an in-flight packet: every
                 // requester stalls on route occupancy this cycle.
-                for ri in 0..scratch.va_requests[b].len() {
-                    let (rip, riv) = scratch.va_requests[b][ri];
-                    self.stall(fx, self.pv(rip, riv), StallCause::RouteBusy);
-                }
-                scratch.va_requests[b].clear();
-                scratch.va_line_masks[b] = 0;
-                continue;
-            }
-            if let Some(line) = self.va2_arbiters[b].arbitrate_mask(scratch.va_line_masks[b]) {
-                let (ip, iv) = (PortId(line / self.vcs), VcId(line % self.vcs));
-                self.out_owner[b] = Some((ip, iv));
-                self.set_state(line, VcState::Active { out_port: PortId(op), out_vc: VcId(ov) });
+                StallCause::RouteBusy
+            } else {
+                let Some(line) = self.vc[b].va2.arbitrate_mask(requests) else { continue };
+                self.vc[b].owner = line as u8;
+                let (op, ov) = (PortId(b / self.vcs), VcId(b % self.vcs));
+                self.set_state(line, VcState::Active { out_port: op, out_vc: ov });
                 if traced {
-                    let packet = self.buf.front(line).map_or(0, |t| t.packet.0);
+                    let packet = self.front(line).map_or(0, |t| t.hdr.packet.0);
                     fx.commit(Effect::Trace(TraceEvent {
                         cycle,
                         router: self.id,
-                        port: ip,
-                        vc: iv,
+                        port: PortId(line / self.vcs),
+                        vc: VcId(line % self.vcs),
                         kind: TraceEventKind::VcAlloc,
                         packet,
-                        detail: op as u32,
+                        detail: op.index() as u32,
                     }));
                 }
                 // The remaining requesters lost the arbitration.
-                for ri in 0..scratch.va_requests[b].len() {
-                    let (rip, riv) = scratch.va_requests[b][ri];
-                    if (rip, riv) != (ip, iv) {
-                        self.stall(fx, self.pv(rip, riv), StallCause::VaLoss);
-                    }
-                }
+                requests &= !(1u64 << line);
+                StallCause::VaLoss
+            };
+            while requests != 0 {
+                let pv = requests.trailing_zeros() as usize;
+                requests &= requests - 1;
+                self.stall(fx, pv, cause);
             }
-            scratch.va_requests[b].clear();
-            scratch.va_line_masks[b] = 0;
         }
     }
 
@@ -1014,74 +1164,71 @@ impl Router {
         while routing != 0 {
             let pv = routing.trailing_zeros() as usize;
             routing &= routing - 1;
-            {
-                let (ip, iv) = (pv / self.vcs, pv % self.vcs);
-                if !self.buf.front_ready(pv, cycle) {
-                    continue;
-                }
-                let (packet, dst) = {
-                    let head = self.buf.front(pv).expect("routing VC holds a head flit");
-                    debug_assert!(head.head, "routing state without a head flit");
-                    (head.packet.0, head.dst)
-                };
-                let candidates = &mut scratch.candidates;
-                candidates.clear();
-                topo.route_candidates_into(self.id, dst, candidates);
-                debug_assert!(!candidates.is_empty(), "routing produced no candidates");
-                if self.fault_routing {
-                    let masked = apply_fault_mask(candidates, &self.dead_out);
-                    // Also mask the backtrack port (the reverse of the
-                    // edge the flit arrived on). Dimension-ordered routes
-                    // are monotone and never backtrack, so this only
-                    // fires for packets already detoured around a dead
-                    // link — and for those it is what breaks the
-                    // detour/return ping-pong livelock: the neighbour of
-                    // a dead link would otherwise XY-route the packet
-                    // straight back at the fault forever.
-                    let backtracked = if ip != PortId::LOCAL.index() {
-                        let before = candidates.len();
-                        candidates.retain(|p| p.index() != ip);
-                        candidates.len() != before
-                    } else {
-                        false
-                    };
-                    if candidates.is_empty() {
-                        candidates.push(self.detour_port(topo, PortId(ip), dst));
-                    }
-                    if masked || backtracked {
-                        self.reroutes += 1;
-                    }
-                }
-                let out_port = if candidates.len() == 1 {
-                    candidates[0]
+            let (ip, iv) = (pv / self.vcs, pv % self.vcs);
+            if !self.front_ready(pv, cycle) {
+                continue;
+            }
+            let (packet, dst) = {
+                let head = &self.front(pv).expect("routing VC holds a head flit").hdr;
+                debug_assert!(head.is_head(), "routing state without a head flit");
+                (head.packet.0, head.dst())
+            };
+            let candidates = &mut scratch.candidates;
+            candidates.clear();
+            topo.route_candidates_into(self.id, dst, candidates);
+            debug_assert!(!candidates.is_empty(), "routing produced no candidates");
+            if self.fault_routing {
+                let masked = apply_fault_mask(candidates, |p| self.port[p].dead);
+                // Also mask the backtrack port (the reverse of the edge
+                // the flit arrived on). Dimension-ordered routes are
+                // monotone and never backtrack, so this only fires for
+                // packets already detoured around a dead link — and for
+                // those it is what breaks the detour/return ping-pong
+                // livelock: the neighbour of a dead link would otherwise
+                // XY-route the packet straight back at the fault forever.
+                let backtracked = if ip != PortId::LOCAL.index() {
+                    let before = candidates.len();
+                    candidates.retain(|p| p.index() != ip);
+                    candidates.len() != before
                 } else {
-                    let credits_of = |p: PortId| -> usize {
-                        let base = p.index() * self.vcs;
-                        self.out_credits[base..base + self.vcs].iter().sum()
-                    };
-                    // max_by_key returns the *last* maximum; iterate in
-                    // reverse so ties resolve to the earliest (preferred)
-                    // candidate.
-                    candidates
-                        .iter()
-                        .rev()
-                        .copied()
-                        .max_by_key(|&p| credits_of(p))
-                        .expect("non-empty candidates")
+                    false
                 };
-                fx.tallies().rc += 1;
-                self.set_state(pv, VcState::WaitingVc { out_port });
-                if traced {
-                    fx.commit(Effect::Trace(TraceEvent {
-                        cycle,
-                        router: self.id,
-                        port: PortId(ip),
-                        vc: VcId(iv),
-                        kind: TraceEventKind::RouteCompute,
-                        packet,
-                        detail: out_port.index() as u32,
-                    }));
+                if candidates.is_empty() {
+                    candidates.push(self.detour_port(topo, PortId(ip), dst));
                 }
+                if masked || backtracked {
+                    self.reroutes += 1;
+                }
+            }
+            let out_port = if candidates.len() == 1 {
+                candidates[0]
+            } else {
+                let credits_of = |p: PortId| -> usize {
+                    let base = p.index() * self.vcs;
+                    self.vc[base..base + self.vcs].iter().map(|r| r.credits as usize).sum()
+                };
+                // max_by_key returns the *last* maximum; iterate in
+                // reverse so ties resolve to the earliest (preferred)
+                // candidate.
+                candidates
+                    .iter()
+                    .rev()
+                    .copied()
+                    .max_by_key(|&p| credits_of(p))
+                    .expect("non-empty candidates")
+            };
+            fx.tallies().rc += 1;
+            self.set_state(pv, VcState::WaitingVc { out_port });
+            if traced {
+                fx.commit(Effect::Trace(TraceEvent {
+                    cycle,
+                    router: self.id,
+                    port: PortId(ip),
+                    vc: VcId(iv),
+                    kind: TraceEventKind::RouteCompute,
+                    packet,
+                    detail: out_port.index() as u32,
+                }));
             }
         }
     }
@@ -1092,7 +1239,6 @@ mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::flit::{FlitData, FlitKind};
-    use crate::link::WireLoad;
     use crate::packet::{PacketClass, PacketId};
     use crate::shard::{DirectFx, PipelineTallies, Sinks};
     use crate::stats::ActivityCounters;
@@ -1127,6 +1273,7 @@ mod tests {
         activity: RouterActivity,
         ejected: Vec<EjectedFlit>,
         links: Vec<Link>,
+        wires: WireTable,
     }
 
     impl Ctx {
@@ -1139,7 +1286,14 @@ mod tests {
                 activity: RouterActivity::default(),
                 ejected: Vec::new(),
                 links: Vec::new(),
+                wires: WireTable::new(0, 1, 1),
             }
+        }
+
+        /// Wires `links` with rings deep enough for any of these tests.
+        fn set_links(&mut self, links: Vec<Link>) {
+            self.wires = WireTable::new(links.len(), 8, 8);
+            self.links = links;
         }
 
         fn recv(&mut self, r: &mut Router, port: PortId, vc: VcId, flit: Flit, cycle: u64) {
@@ -1161,8 +1315,8 @@ mod tests {
                 false,
             );
             let mut t = PipelineTallies::default();
-            let mut load = WireLoad::of(&self.links);
-            let mut fx = DirectFx { sinks, links: &mut self.links, load: &mut load, t: &mut t };
+            let (links, wires) = (&mut self.links, &mut self.wires);
+            let mut fx = DirectFx { sinks, links, wires, t: &mut t };
             r.step(cycle, &self.topo, &mut self.scratch, &mut self.activity, &mut fx);
             t.merge_into(&mut self.counters);
         }
@@ -1225,25 +1379,26 @@ mod tests {
         let mut r = Router::new(NodeId(0), 5, &cfg);
         let mut c = Ctx::new(&cfg);
         // One outgoing link east (to node 1).
-        c.links = vec![Link::new((NodeId(0), PortId(1)), (NodeId(1), PortId(2)), 3.1)];
+        c.set_links(vec![Link::new((NodeId(0), PortId(1)), (NodeId(1), PortId(2)), 3.1)]);
         r.set_out_link(PortId(1), 0);
 
         // Exhaust all credits on (east, vc0).
-        r.out_credits[r.pv(PortId(1), VcId(0))] = 0;
+        let ov = r.pv(PortId(1), VcId(0));
+        r.vc[ov].credits = 0;
 
         let f = mk_head(NodeId(1), PacketClass::Ack);
         c.recv(&mut r, PortId::LOCAL, VcId(0), f, 0);
         for cycle in 0..10 {
             c.step(&mut r, cycle);
         }
-        assert_eq!(c.links[0].flits_in_flight(), 0, "no credit, no traversal");
+        assert_eq!(c.wires.flits(0), 0, "no credit, no traversal");
 
         // Return one credit; the flit must now flow.
         r.receive_credit(PortId(1), VcId(0));
         for cycle in 10..15 {
             c.step(&mut r, cycle);
         }
-        assert_eq!(c.links[0].flits_in_flight(), 1);
+        assert_eq!(c.wires.flits(0), 1);
         assert!(r.is_quiescent());
     }
 
@@ -1278,10 +1433,10 @@ mod tests {
         let mut r = Router::new(NodeId(0), 5, &cfg);
         let mut c = Ctx::new(&cfg);
         // Node 0 of the 2x2 mesh is wired east (port 1) and north (port 3).
-        c.links = vec![
+        c.set_links(vec![
             Link::new((NodeId(0), PortId(1)), (NodeId(1), PortId(2)), 3.1),
             Link::new((NodeId(0), PortId(3)), (NodeId(2), PortId(4)), 3.1),
-        ];
+        ]);
         r.set_out_link(PortId(1), 0);
         r.set_out_link(PortId(3), 1);
         r.set_fault_routing(true);
@@ -1293,7 +1448,7 @@ mod tests {
         c.recv(&mut r, PortId::LOCAL, VcId(0), f, 0);
         c.step(&mut r, 0);
         assert_eq!(
-            r.vc_state[r.pv(PortId::LOCAL, VcId(0))],
+            r.state(r.pv(PortId::LOCAL, VcId(0))),
             VcState::WaitingVc { out_port: PortId(3) },
             "masked route falls back to the live north port"
         );
@@ -1311,9 +1466,9 @@ mod tests {
         r.set_state(pv00, VcState::WaitingVc { out_port: PortId(1) });
         r.set_state(pv21, VcState::WaitingVc { out_port: PortId(3) });
         r.on_port_death(PortId(1));
-        assert_eq!(r.vc_state[pv00], VcState::Routing, "route through dead port recomputed");
+        assert_eq!(r.state(pv00), VcState::Routing, "route through dead port recomputed");
         assert_eq!(
-            r.vc_state[pv21],
+            r.state(pv21),
             VcState::WaitingVc { out_port: PortId(3) },
             "routes through live ports keep their grant request"
         );
@@ -1326,7 +1481,7 @@ mod tests {
         let cfg = mk_cfg();
         let mut r = Router::new(NodeId(0), 5, &cfg);
         let mut c = Ctx::new(&cfg);
-        c.links = vec![Link::new((NodeId(0), PortId(1)), (NodeId(1), PortId(2)), 3.1)];
+        c.set_links(vec![Link::new((NodeId(0), PortId(1)), (NodeId(1), PortId(2)), 3.1)]);
         r.set_out_link(PortId(1), 0);
         r.set_link_paused(PortId(1), true);
 
@@ -1335,14 +1490,14 @@ mod tests {
         for cycle in 0..6 {
             c.step(&mut r, cycle);
         }
-        assert_eq!(c.links[0].flits_in_flight(), 0, "paused link admits no traffic");
+        assert_eq!(c.wires.flits(0), 0, "paused link admits no traffic");
         assert!(r.stall_counters().link_fault > 0, "stall attributed to the link fault");
 
         r.set_link_paused(PortId(1), false);
         for cycle in 6..10 {
             c.step(&mut r, cycle);
         }
-        assert_eq!(c.links[0].flits_in_flight(), 1, "unpausing releases the flit");
+        assert_eq!(c.wires.flits(0), 1, "unpausing releases the flit");
     }
 
     /// The severed-packet reaper drains buffered flits of a dropped
@@ -1354,7 +1509,7 @@ mod tests {
         let mut r = Router::new(NodeId(0), 5, &cfg);
         let mut c = Ctx::new(&cfg);
         // Incoming link feeding port 2 (west side), for credit reflux.
-        c.links = vec![Link::new((NodeId(1), PortId(2)), (NodeId(0), PortId(1)), 3.1)];
+        c.set_links(vec![Link::new((NodeId(1), PortId(2)), (NodeId(0), PortId(1)), 3.1)]);
         r.set_in_link(PortId(1), 0);
 
         let mut head = mk_head(NodeId(3), PacketClass::ReadRequest);
@@ -1368,23 +1523,101 @@ mod tests {
         let pv = r.pv(PortId(1), VcId(0));
         // Pretend VA granted the east output VC to this packet.
         r.set_state(pv, VcState::Active { out_port: PortId(1), out_vc: VcId(0) });
-        r.out_owner[r.pv(PortId(1), VcId(0))] = Some((PortId(1), VcId(0)));
+        let ov = r.pv(PortId(1), VcId(0));
+        r.vc[ov].owner = pv as u8;
+        r.assert_worklists_consistent();
 
         let severed: HashSet<PacketId> = [PacketId(42)].into_iter().collect();
-        let purged = r.purge_severed(&severed, 5, &mut c.arena, &mut c.links);
+        let purged = r.purge_severed(&severed, 5, &mut c.arena, &mut c.wires);
         assert_eq!(purged, 2);
         assert_eq!(r.buffered_flits(), 0);
         assert_eq!(c.arena.allocated(), 0, "purged flits freed their arena slots");
-        assert_eq!(r.vc_state[pv], VcState::Idle);
-        assert_eq!(r.vc_packet[pv], None);
-        assert!(r.out_owner[r.pv(PortId(1), VcId(0))].is_none(), "held output VC released");
-        assert_eq!(
-            c.links[0].take_due_credit(6).map(|cr| cr.vc),
-            Some(VcId(0)),
-            "credit refluxed per flit"
-        );
-        assert_eq!(c.links[0].take_due_credit(6).map(|cr| cr.vc), Some(VcId(0)));
-        assert!(c.links[0].take_due_credit(6).is_none());
+        assert_eq!(r.state(pv), VcState::Idle);
+        assert_eq!(r.dump(5, 0, 0).vcs.len(), 0, "an idle, empty VC services no packet");
+        assert_eq!(r.vc[ov].owner, NONE, "held output VC released");
+        r.assert_worklists_consistent();
+        let mut wire = c.wires.wire(0);
+        assert_eq!(wire.take_due_credit(6).map(|cr| cr.vc), Some(VcId(0)), "credit refluxed");
+        assert_eq!(wire.take_due_credit(6).map(|cr| cr.vc), Some(VcId(0)));
+        assert!(wire.take_due_credit(6).is_none());
+    }
+
+    fn mk_slot(fref: u32, ready_at: u64) -> BufSlot {
+        BufSlot { hdr: FlitHeader { fref: FlitRef(fref), ..FlitHeader::EMPTY }, ready_at }
+    }
+
+    /// Each VC's FIFO keeps its own order and wraps around its ring.
+    #[test]
+    fn fifos_are_independent_rings() {
+        let mut r = Router::new(NodeId(0), 5, &mk_cfg());
+        for round in 0..4u32 {
+            r.push(3, mk_slot(3 * round, 0));
+            r.push(3, mk_slot(3 * round + 1, 0));
+            r.push(1, mk_slot(100 + round, 0));
+            assert_eq!(r.pop(3).map(|s| s.hdr.fref), Some(FlitRef(3 * round)));
+            assert_eq!(r.pop(3).map(|s| s.hdr.fref), Some(FlitRef(3 * round + 1)));
+            assert_eq!(r.pop(1).map(|s| s.hdr.fref), Some(FlitRef(100 + round)));
+        }
+        assert!(r.pop(3).is_none() && r.pop(1).is_none());
+        assert_eq!((r.buffered_flits(), r.buffer_peak()), (0, 3));
+    }
+
+    #[test]
+    fn readiness_gates_the_front() {
+        let mut r = Router::new(NodeId(0), 5, &mk_cfg());
+        r.push(0, mk_slot(0, 5));
+        assert!(!r.front_ready(0, 4));
+        assert!(r.front_ready(0, 5) && r.front_ready(0, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn fifo_overflow_panics() {
+        let mut r = Router::new(NodeId(0), 5, &mk_cfg());
+        for i in 0..=mk_cfg().router.buffer_depth as u32 {
+            r.push(0, mk_slot(i, 0));
+        }
+    }
+
+    /// Size budgets of the dense cycle state. The cycle is bound by
+    /// cache misses on first touch (DESIGN.md §14), so a field added to
+    /// a hot record costs every router-step or every hop; these fail
+    /// with the reason instead of letting the simulator slow in silence.
+    #[test]
+    fn hot_state_fits_its_size_budget() {
+        use crate::link::{CreditInFlight, FlitInFlight};
+        use std::mem::size_of;
+        // Half a cache line per entry at most: a VC record, port record,
+        // buffered flit or wire flit that grows past 32 bytes puts fewer
+        // than two on a line, and every stage reads several per step.
+        for (name, size) in [
+            ("VcRec", size_of::<VcRec>()),
+            ("PortRec", size_of::<PortRec>()),
+            ("BufSlot", size_of::<BufSlot>()),
+            ("FlitInFlight", size_of::<FlitInFlight>()),
+        ] {
+            assert!(size <= 32, "{name} is {size} bytes, over its 32-byte budget");
+        }
+        // Today's records are smaller still: a VC record is half a BufSlot.
+        assert_eq!(size_of::<VcRec>(), 16, "VcRec");
+        assert_eq!(size_of::<PortRec>(), 16, "PortRec");
+        assert!(size_of::<CreditInFlight>() <= 16, "CreditInFlight");
+        // A 5-port, 2-VC, depth-4 router (the paper's mesh router) in
+        // struct plus tables. Its state before the dense layout was a
+        // 496-byte struct plus about 2.8 KB in 17 heap blocks, 3.4 MB at
+        // 1 024 routers against a 2 MB L2 per core; 2 KB per router keeps
+        // a 32x32 fabric's routers within that L2.
+        let cfg = mk_cfg();
+        let r = Router::new(NodeId(0), 5, &cfg);
+        let hot = size_of::<Router>()
+            + r.vc.len() * size_of::<VcRec>()
+            + r.port.len() * size_of::<PortRec>()
+            + r.slots.len() * size_of::<BufSlot>()
+            + r.counts.len() * size_of::<u64>();
+        assert!(hot <= 2048, "a 5-port router holds {hot} hot bytes, over its 2 KB budget");
+        // The quiescence check reads one line per router.
+        let line = std::mem::offset_of!(Router, occupied) + size_of::<u32>();
+        assert!(line <= 64, "the quiescence fields end at byte {line}, past the first line");
     }
 }
 
@@ -1393,7 +1626,6 @@ mod pipeline_depth_tests {
     use super::*;
     use crate::config::{NetworkConfig, PipelineConfig, PipelineDepth};
     use crate::flit::{FlitData, FlitKind};
-    use crate::link::WireLoad;
     use crate::packet::{PacketClass, PacketId};
     use crate::shard::{DirectFx, PipelineTallies, Sinks};
     use crate::stats::ActivityCounters;
@@ -1410,7 +1642,7 @@ mod pipeline_depth_tests {
         let mut counters = ActivityCounters::new();
         let mut activity = RouterActivity::default();
         let mut ejected = Vec::new();
-        let mut links: Vec<Link> = Vec::new();
+        let (mut links, mut wires) = (Vec::new(), WireTable::new(0, 1, 1));
         let flit = Flit {
             packet: PacketId(1),
             seq: 0,
@@ -1431,8 +1663,7 @@ mod pipeline_depth_tests {
             let mut sink = NullSink;
             let sinks =
                 Sinks::new(cycle, &mut counters, &mut arena, &mut ejected, &mut sink, None, false);
-            let mut load = WireLoad::of(&links);
-            let mut fx = DirectFx { sinks, links: &mut links, load: &mut load, t: &mut t };
+            let mut fx = DirectFx { sinks, links: &mut links, wires: &mut wires, t: &mut t };
             r.step(cycle, &topo, &mut scratch, &mut activity, &mut fx);
             if let Some(e) = ejected.first() {
                 return e.cycle;

@@ -9,7 +9,7 @@
 //! in two barrier-separated dispatches per cycle: link delivery, then
 //! the fused router pipeline, occupancy count and NIC injection. Each
 //! runs every effect a shard can own on that shard's worker — buffer
-//! pushes, credit returns, link sends, hop counts — and logs only the
+//! pushes, credit returns, link sends — and logs only the
 //! *globally ordered* remainder as [`Effect`] entries, which the calling
 //! thread replays in canonical (link- or node-ascending) order: the
 //! non-associative f64 activity-counter sums, the arena free list
@@ -43,10 +43,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use crate::arena::{FlitArena, FlitRef};
+use crate::buffer::FlitHeader;
 use crate::flit::Flit;
 use crate::ids::{NodeId, PortId, VcId};
 use crate::journey::JourneyRecorder;
-use crate::link::{FlitInFlight, Link, LinkWires, WireLoad};
+use crate::link::{FlitInFlight, Link, LinkWires, WireTable};
 use crate::network::{FaultRuntime, Nic};
 use crate::packet::PacketId;
 use crate::router::{EjectedFlit, Router, StepScratch};
@@ -175,8 +176,9 @@ pub(crate) enum Effect {
     StRead { fraction: f64 },
     /// A forward's link energy (`record_link` operands).
     Link { length_mm: f64, fraction: f64 },
-    /// A flit leaving the network at `node` (frees its arena slot).
-    Eject { fref: FlitRef, node: NodeId, tail: bool },
+    /// A flit leaving the network at `node` after `hops` hops (takes it
+    /// out of its arena slot).
+    Eject { fref: FlitRef, hops: u16, node: NodeId, tail: bool },
     /// Journey: a head flit won the switch toward `out_port`.
     JourneySt { packet: PacketId, out_port: PortId },
     /// Journey: the flit at a VC's front stalled for `cause`.
@@ -203,13 +205,18 @@ impl Effect {
 pub(crate) trait Commit {
     /// `true` when the event sink wants trace events.
     fn traced(&self) -> bool;
-    /// The flit at `fref`.
-    fn flit(&self, fref: FlitRef) -> &Flit;
     /// Applies or logs one ordered effect.
     fn commit(&mut self, e: Effect);
-    /// NIC injection: when the fault layer severed the packet of the
-    /// queued flit at `fref`, frees its slot, counts the drop and returns
-    /// `true`. Only a fault run's inline sinks ever drop.
+}
+
+/// The seam of NIC injection, the one phase body that reads the flit
+/// arena: a queued flit's header is built there, from the flit itself.
+pub(crate) trait InjectFx: Commit {
+    /// The flit at `fref`, queued at a NIC of the calling shard.
+    fn flit(&self, fref: FlitRef) -> &Flit;
+    /// When the fault layer severed the packet of the queued flit at
+    /// `fref`, frees its slot, counts the drop and returns `true`. Only
+    /// a fault run's inline sinks ever drop.
     fn drop_severed(&mut self, _fref: FlitRef) -> bool {
         false
     }
@@ -230,9 +237,10 @@ pub(crate) trait StepFx: Commit {
     fn tallies(&mut self) -> &mut PipelineTallies;
     /// Returns a credit upstream on link `li`.
     fn send_credit(&mut self, li: usize, vc: VcId, at: u64);
-    /// Forwards the flit at `fref` onto link `li` (hop count, link
-    /// energy, wire send).
-    fn forward(&mut self, li: usize, fref: FlitRef, vc: VcId, at: u64, fraction: f64);
+    /// Forwards the flit `hdr` describes onto link `li` (link energy,
+    /// wire send); `hdr` already carries the new hop count and the
+    /// downstream VC.
+    fn forward(&mut self, li: usize, hdr: FlitHeader, at: u64, fraction: f64);
 }
 
 /// The ordered sinks of one cycle: the activity counters, the ejection
@@ -341,12 +349,14 @@ impl<'a> Sinks<'a> {
                 self.counters.record_xbar(fraction);
             }
             Effect::Link { length_mm, fraction } => self.counters.record_link(length_mm, fraction),
-            Effect::Eject { fref, node, tail } => {
+            Effect::Eject { fref, hops, node, tail } => {
                 self.counters.flits_ejected += 1;
                 if tail {
                     self.counters.packets_ejected += 1;
                 }
-                self.ejected.push(EjectedFlit { flit: self.arena.take(fref), node, cycle });
+                let mut flit = self.arena.take(fref);
+                flit.hops = u32::from(hops);
+                self.ejected.push(EjectedFlit { flit, node, cycle });
             }
             Effect::JourneySt { packet, out_port } => {
                 if let Some(j) = self.journeys.as_deref_mut() {
@@ -370,13 +380,15 @@ impl Commit for Sinks<'_> {
     }
 
     #[inline]
-    fn flit(&self, fref: FlitRef) -> &Flit {
-        self.arena.get(fref)
-    }
-
-    #[inline]
     fn commit(&mut self, e: Effect) {
         self.apply(e);
+    }
+}
+
+impl InjectFx for Sinks<'_> {
+    #[inline]
+    fn flit(&self, fref: FlitRef) -> &Flit {
+        self.arena.get(fref)
     }
 
     #[inline]
@@ -394,7 +406,7 @@ impl Commit for Sinks<'_> {
 pub(crate) struct DirectFx<'a> {
     pub sinks: Sinks<'a>,
     pub links: &'a mut [Link],
-    pub load: &'a mut WireLoad,
+    pub wires: &'a mut WireTable,
     pub t: &'a mut PipelineTallies,
 }
 
@@ -402,11 +414,6 @@ impl Commit for DirectFx<'_> {
     #[inline]
     fn traced(&self) -> bool {
         self.sinks.traced
-    }
-
-    #[inline]
-    fn flit(&self, fref: FlitRef) -> &Flit {
-        self.sinks.arena.get(fref)
     }
 
     #[inline]
@@ -433,24 +440,19 @@ impl StepFx for DirectFx<'_> {
 
     #[inline]
     fn send_credit(&mut self, li: usize, vc: VcId, at: u64) {
-        self.links[li].send_credit(vc, at);
-        self.load.sync(li, &self.links[li]);
+        self.wires.wire(li).send_credit(vc, at);
     }
 
     #[inline]
-    fn forward(&mut self, li: usize, fref: FlitRef, vc: VcId, at: u64, fraction: f64) {
-        self.sinks.arena.get_mut(fref).hops += 1;
+    fn forward(&mut self, li: usize, hdr: FlitHeader, at: u64, fraction: f64) {
         self.sinks.apply(Effect::Link { length_mm: self.links[li].length_mm, fraction });
-        self.links[li].send_flit(self.sinks.arena, fref, vc, at);
-        self.load.sync(li, &self.links[li]);
+        self.links[li].send_flit(self.sinks.arena, &mut self.wires.wire(li), hdr, at);
     }
 }
 
-/// Logging [`Commit`] for a shard worker's link phase. The arena is
-/// read-only there: only a fault run allocates or frees in that phase,
-/// and a fault run steps it inline.
+/// Logging [`Commit`] for a shard worker's link phase, which reads flit
+/// headers off the wires and never the arena.
 struct ShardLog<'a> {
-    arena: &'a FlitArena,
     log: &'a mut Vec<Effect>,
     traced: bool,
     tally: bool,
@@ -464,11 +466,6 @@ impl Commit for ShardLog<'_> {
     }
 
     #[inline]
-    fn flit(&self, fref: FlitRef) -> &Flit {
-        self.arena.get(fref)
-    }
-
-    #[inline]
     fn commit(&mut self, e: Effect) {
         if !(self.tally && self.t.absorb(&e)) {
             self.log.push(e);
@@ -476,13 +473,13 @@ impl Commit for ShardLog<'_> {
     }
 }
 
-/// Per-slot access to the flit arena during the fused pipeline and
-/// injection phase.
+/// Per-slot access to the flit arena during NIC injection, the one
+/// phase body that reads it.
 ///
-/// A flit in a router buffer or a source queue is reached only by the
-/// shard that owns the node, so each worker touches a disjoint set of
-/// slots. The handle therefore never forms a `&FlitArena` (which would
-/// cover every slot) but addresses one slot at a time.
+/// A flit in a source queue is reached only by the shard that owns the
+/// node, so each worker touches a disjoint set of slots. The handle
+/// therefore never forms a `&FlitArena` (which would cover every slot)
+/// but addresses one slot at a time.
 #[derive(Clone, Copy)]
 struct ArenaSlots<'a> {
     base: *mut Option<Flit>,
@@ -491,9 +488,9 @@ struct ArenaSlots<'a> {
 }
 
 // SAFETY: `base` and `len` describe a slot table exclusively borrowed
-// for `'a`, and `Flit` is `Send`. Every dereference goes through
-// `get`/`get_mut`, whose callers guarantee that the slot belongs to
-// the calling shard's routers.
+// for `'a`, and `Flit` is `Send`. Every dereference goes through `get`,
+// whose callers guarantee that the slot belongs to a source queue of the
+// calling shard's nodes.
 unsafe impl Send for ArenaSlots<'_> {}
 // SAFETY: as for `Send`.
 unsafe impl Sync for ArenaSlots<'_> {}
@@ -513,20 +510,11 @@ impl<'a> ArenaSlots<'a> {
 
     /// # Safety
     ///
-    /// The flit at `fref` must sit in a buffer or source queue of a node
-    /// the calling shard owns, and no `&mut` to it may be live.
+    /// The flit at `fref` must sit in a source queue of a node the
+    /// calling shard owns, and no `&mut` to it may be live.
     unsafe fn get(self, fref: FlitRef) -> &'a Flit {
         // SAFETY: per the contract, no other thread touches this slot.
         unsafe { (*self.slot(fref)).as_ref().expect("dangling FlitRef") }
-    }
-
-    /// # Safety
-    ///
-    /// As for [`ArenaSlots::get`], and no other reference to the flit
-    /// may be live.
-    unsafe fn get_mut(self, fref: FlitRef) -> &'a mut Flit {
-        // SAFETY: per the contract, this is the only reference.
-        unsafe { (*self.slot(fref)).as_mut().expect("dangling FlitRef") }
     }
 }
 
@@ -534,17 +522,17 @@ impl<'a> ArenaSlots<'a> {
 /// [`ShardRuntime::step_nodes`] for the nodes of one shard's `range`,
 /// which is what its in-place effects rely on:
 ///
-/// * `forward` bumps the hop count of a flit a stepped router holds and
-///   pushes it onto an out-link flit wire of that router — the sender's
-///   shard is that wire's only producer, and nothing pops it until the
-///   next link phase;
+/// * `forward` pushes a flit a stepped router held onto an out-link flit
+///   wire of that router — the sender's shard is that wire's only
+///   producer, and nothing pops it until the next link phase;
 /// * `send_credit` pushes onto an in-link credit wire of the stepped
 ///   router — the receiver's shard is that wire's only producer.
 ///
 /// The order-sensitive remainder goes to the shard's log; commutative
 /// counters (and, on the tally path, the activity sums) accumulate in
 /// the shard's [`PipelineTallies`]. The same seam then serves the
-/// shard's NIC injection, whose queued flits its nodes own too.
+/// shard's NIC injection, whose queued flits its nodes own too: the
+/// only arena reads of the phase.
 pub(crate) struct DeferredFx<'a> {
     /// The nodes of the shard running this seam.
     range: Range<usize>,
@@ -564,20 +552,20 @@ impl Commit for DeferredFx<'_> {
     }
 
     #[inline]
-    fn flit(&self, fref: FlitRef) -> &Flit {
-        // SAFETY: the router being stepped holds `fref` in its buffer,
-        // or the NIC injecting it holds it in a source queue, and that
-        // node belongs to this shard (a `FlitRef` has exactly one
-        // holder); the returned borrow ends before any `&mut self` call
-        // (`forward`'s hop bump) can alias it.
-        unsafe { self.slots.get(fref) }
-    }
-
-    #[inline]
     fn commit(&mut self, e: Effect) {
         if !(self.tally && self.t.absorb(&e)) {
             self.log.push(e);
         }
+    }
+}
+
+impl InjectFx for DeferredFx<'_> {
+    #[inline]
+    fn flit(&self, fref: FlitRef) -> &Flit {
+        // SAFETY: the NIC injecting `fref` holds it in a source queue,
+        // and that node belongs to this shard (a `FlitRef` has exactly
+        // one holder); nothing in this phase writes an arena slot.
+        unsafe { self.slots.get(fref) }
     }
 }
 
@@ -608,18 +596,14 @@ impl StepFx for DeferredFx<'_> {
     }
 
     #[inline]
-    fn forward(&mut self, li: usize, fref: FlitRef, vc: VcId, at: u64, fraction: f64) {
-        // SAFETY: the flit left a buffer of the router being stepped,
-        // which this shard owns; a `FlitRef` has exactly one holder, so
-        // no other shard reaches it this phase.
-        unsafe { self.slots.get_mut(fref) }.hops += 1;
+    fn forward(&mut self, li: usize, hdr: FlitHeader, at: u64, fraction: f64) {
         self.log.push(Effect::Link { length_mm: self.wires.length_mm(li), fraction });
         let owner = self.wires.from(li).0.index();
         assert!(self.range.contains(&owner), "flit forwarded on an out-link of a foreign shard");
         // SAFETY: `li` leaves a router of this shard (asserted above); in
         // the pipeline phase only the sender's shard pushes its flit
         // wire, and no one pops it until the next link phase.
-        unsafe { self.wires.send_flit(li, fref, vc, at) };
+        unsafe { self.wires.send_flit(li, FlitInFlight { hdr, deliver_at: at }) };
     }
 }
 
@@ -939,8 +923,8 @@ impl ShardRuntime {
         &mut self,
         routers: &mut [Router],
         activity: &mut [RouterActivity],
-        links: &mut [Link],
-        load: &mut WireLoad,
+        links: &[Link],
+        wires: &mut WireTable,
         out: &mut Sinks<'_>,
     ) {
         self.plan.check_nodes(&[routers.len(), activity.len()]);
@@ -949,7 +933,7 @@ impl ShardRuntime {
         let plan = &*plan;
         let routers = SyncPtr(routers.as_mut_ptr());
         let activity = SyncPtr(activity.as_mut_ptr());
-        let wires = LinkWires::new(links, load);
+        let wires = LinkWires::new(links, wires);
         let cycle = out.cycle;
         if ctxs.len() == 1 {
             // SAFETY: the one shard owns every wire, router and activity
@@ -959,19 +943,19 @@ impl ShardRuntime {
             };
             return;
         }
-        let (arena, traced, tally) = (&*out.arena, out.traced, out.tally);
+        let (traced, tally) = (out.traced, out.tally);
         let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
         pool.run(&move |s| {
             // SAFETY: one context per shard, indexed by the shard's id.
             let ctx = unsafe { &mut *ctxs_ptr.get().add(s) };
             ctx.log.clear();
-            let mut log = ShardLog { arena, log: &mut ctx.log, traced, tally, t: &mut ctx.tallies };
+            let mut log = ShardLog { log: &mut ctx.log, traced, tally, t: &mut ctx.tallies };
             // SAFETY: the plan gives each wire to exactly one shard —
             // a flit wire to the shard of its destination router, a
             // credit wire to the shard of its source router — and
             // `deliver` asserts that every popped wire's router lies in
-            // this shard's range, so no two workers share a wire, its
-            // count, a router or an activity row.
+            // this shard's range, so no two workers share a wire, a
+            // router or an activity row.
             unsafe {
                 deliver(&plan.duties[s], plan.range(s), wires, routers, activity, cycle, &mut log)
             };
@@ -1012,7 +996,7 @@ impl ShardRuntime {
         routers: &mut [Router],
         activity: &mut [RouterActivity],
         links: &mut [Link],
-        load: &mut WireLoad,
+        wires: &mut WireTable,
         nics: &mut [Nic],
         occupancy_rows: Option<&mut [u64]>,
         topo: &dyn Topology,
@@ -1033,7 +1017,7 @@ impl ShardRuntime {
         if inline || ctxs.len() == 1 {
             let ShardCtx { scratch, tallies, .. } = &mut ctxs[0];
             let occupancy = {
-                let mut fx = DirectFx { sinks: out.reborrow(), links, load, t: &mut *tallies };
+                let mut fx = DirectFx { sinks: out.reborrow(), links, wires, t: &mut *tallies };
                 // SAFETY: this thread holds every router, activity row
                 // and occupancy row exclusively.
                 unsafe { step_range(0..n, routers, activity, rows, topo, scratch, cycle, &mut fx) }
@@ -1046,7 +1030,7 @@ impl ShardRuntime {
             return;
         }
         let (traced, journeys_on, tally) = (out.traced, out.journeys.is_some(), out.tally);
-        let wires = LinkWires::new(links, load);
+        let wires = LinkWires::new(links, wires);
         let slots = ArenaSlots::new(out.arena);
         let ctxs_ptr = SyncPtr(ctxs.as_mut_ptr());
         pool.run(&move |s| {
@@ -1109,11 +1093,11 @@ pub(crate) fn accept_flit<O: Commit>(
     f: &FlitInFlight,
     cycle: u64,
 ) {
-    let flit = out.flit(f.flit);
-    let (packet, head) = (flit.packet, flit.is_head());
-    let fraction = router.receive_flit(port, f.vc, f.flit, flit, cycle);
+    let h = &f.hdr;
+    let fraction = router.receive(port, *h, cycle);
     act.buffer_events += fraction;
-    out.commit(Effect::Arrival { li, head, router: router.id(), port, vc: f.vc, packet, fraction });
+    let (head, vc, packet) = (h.is_head(), h.vc(), h.packet);
+    out.commit(Effect::Arrival { li, head, router: router.id(), port, vc, packet, fraction });
 }
 
 /// Returns a credit, delivered off link `li`, to `router`'s output
@@ -1235,7 +1219,7 @@ unsafe fn step_range<F: StepFx>(
 /// Until it returns, the calling thread must be the only one touching
 /// the NICs, routers and activity rows in `range`; the three pointers
 /// must point to tables covering `range`.
-unsafe fn inject_range<O: Commit>(
+unsafe fn inject_range<O: InjectFx>(
     range: Range<usize>,
     nics: SyncPtr<Nic>,
     routers: SyncPtr<Router>,
@@ -1264,9 +1248,9 @@ unsafe fn inject_range<O: Commit>(
                     break;
                 }
                 nic.pop(vc);
-                let flit = out.flit(fref);
-                let (packet, head) = (flit.packet, flit.is_head());
-                let fraction = router.receive_flit(PortId::LOCAL, vc, fref, flit, cycle);
+                let hdr = FlitHeader::of(fref, out.flit(fref), vc);
+                let (packet, head) = (hdr.packet, hdr.is_head());
+                let fraction = router.receive(PortId::LOCAL, hdr, cycle);
                 act.buffer_events += fraction;
                 out.commit(Effect::Inject { node: NodeId(node), vc, packet, head, fraction });
             }

@@ -52,6 +52,32 @@ proptest! {
         prop_assert!(max - min <= 1, "{counts:?}");
     }
 
+    /// At every size the router uses (1..=64 lines, the most a `u64`
+    /// request mask holds) and from any priority state, the O(1) mask
+    /// arbitration grants the same line and leaves the same priority as
+    /// the scanning `arbitrate`. The priority state comes from a random
+    /// warm-up sequence run on both arbiters, so the byte-wide pointer is
+    /// exercised across its whole range, wrap-around included.
+    #[test]
+    fn arbiter_mask_matches_scan(
+        size in 1usize..=64,
+        warmup in proptest::collection::vec(any::<u64>(), 0..80),
+        masks in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        let mut scan = RoundRobinArbiter::new(size);
+        for m in &warmup {
+            let _ = scan.arbitrate(|i| m & (1u64 << i) != 0);
+        }
+        prop_assert!(scan.next_priority() < size);
+        let mut fast = scan;
+        for m in masks.iter().chain(&warmup) {
+            let want = scan.arbitrate(|i| m & (1u64 << i) != 0);
+            let got = fast.arbitrate_mask(*m);
+            prop_assert_eq!(got, want, "size {} mask {:#x}", size, m);
+            prop_assert_eq!(fast.next_priority(), scan.next_priority());
+        }
+    }
+
     /// With a random request subset the grant is always a requester.
     #[test]
     fn arbiter_grants_requesters(size in 1usize..12, mask in any::<u16>()) {

@@ -254,7 +254,7 @@ pub static ARENA_LIVE_PEAK: Gauge = Gauge::new(
     "Peak live flits in the flit arena across all runs in this process",
 );
 
-/// Peak per-router `FlitSlab` occupancy across every simulation this
+/// Peak per-router buffer occupancy across every simulation this
 /// process ran.
 pub static ROUTER_BUFFER_PEAK: Gauge = Gauge::new(
     "mira_router_buffer_peak_flits",
